@@ -7,27 +7,21 @@
 // concurrently — each sends one QUERY line, reads the OK acknowledgement,
 // and consumes PAIR lines as the join streams them, finishing with the END
 // summary. One client is an impatient top-10 caller whose query the server
-// cancels the moment its prefix is delivered. Any netcat session could
-// replace these clients:
+// cancels the moment its prefix is delivered. The callers use
+// net::ProtocolClient, but any netcat session could replace them:
 //
 //   $ printf 'QUERY env=hubs algo=obj limit=3\n' | nc 127.0.0.1 <port>
 //
 //   $ ./network_service
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "net/line_reader.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
+#include "net/protocol_client.h"
 #include "shard/shard_router.h"
 #include "workload/generator.h"
 
@@ -39,47 +33,14 @@ using namespace rcj;
 /// Returns the number of PAIR lines received, or -1 on a protocol error.
 long RunClient(uint16_t port, const net::WireRequest& request,
                net::WireSummary* summary) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    close(fd);
-    return -1;
-  }
-
-  if (!net::SendAll(fd, net::FormatRequestLine(request) + "\n")) {
-    close(fd);
-    return -1;
-  }
-
-  // The shared LF-framed reader; rcj_tool's client command is the grown-up
-  // version of this loop.
-  net::LineReader reader(fd);
-  std::string current;
-  long pairs = -1;
-  bool saw_ok = false;
-  while (reader.ReadLine(&current)) {
-    RcjPair pair;
-    if (!saw_ok) {
-      if (current != "OK") break;
-      saw_ok = true;
-      pairs = 0;
-    } else if (net::ParsePairLine(current, &pair).ok()) {
-      ++pairs;
-    } else if (net::ParseEndLine(current, summary).ok()) {
-      close(fd);
-      return pairs;
-    } else {
-      break;
-    }
-  }
-  close(fd);
-  return -1;
+  Result<net::ProtocolClient> client =
+      net::ProtocolClient::Connect("127.0.0.1", port);
+  if (!client.ok()) return -1;
+  // The same client `rcj_tool client` drives: it checks the OK, counts
+  // the PAIR lines as the join streams them, and verifies the END summary
+  // against that count.
+  const Status status = client.value().RunQuery(request, nullptr, summary);
+  return status.ok() ? static_cast<long>(summary->pairs) : -1;
 }
 
 }  // namespace

@@ -19,21 +19,15 @@
 // `# slowlog` comment lines.
 //
 //   $ ./observability_tour
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet_proxy.h"
-#include "net/line_reader.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
+#include "net/protocol_client.h"
 #include "obs/metrics.h"
 #include "shard/shard_router.h"
 #include "workload/generator.h"
@@ -46,63 +40,27 @@ using namespace rcj;
 /// then print the span tree that rides after END. Returns the pair count,
 /// or -1 on a protocol error.
 long RunTracedClient(uint16_t port, const net::WireRequest& request) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    close(fd);
+  Result<net::ProtocolClient> client =
+      net::ProtocolClient::Connect("127.0.0.1", port);
+  if (!client.ok()) return -1;
+  net::WireSummary summary;
+  std::vector<net::WireTraceSpan> spans;
+  if (!client.value().RunQuery(request, nullptr, &summary, &spans).ok()) {
     return -1;
   }
-  if (!net::SendAll(fd, net::FormatRequestLine(request) + "\n")) {
-    close(fd);
-    return -1;
+  std::printf("%llu pairs, then the stitched trace:\n",
+              static_cast<unsigned long long>(summary.pairs));
+  for (const net::WireTraceSpan& span : spans) {
+    // Depth-indent the aggregated rows; the id on every row is what lets
+    // a log aggregator stitch multi-process traces back together.
+    std::printf("  [%s] %*s%-22s count=%llu total=%.3fms\n", span.id.c_str(),
+                static_cast<int>(2 * span.depth), "", span.span.c_str(),
+                static_cast<unsigned long long>(span.count),
+                span.total_s * 1e3);
   }
-
-  net::LineReader reader(fd);
-  std::string line;
-  long pairs = -1;
-  bool saw_ok = false;
-  bool saw_end = false;
-  while (reader.ReadLine(&line)) {
-    RcjPair pair;
-    net::WireSummary summary;
-    net::WireTraceSpan span;
-    std::string trace_id;
-    uint64_t spans = 0;
-    if (!saw_ok) {
-      if (line != "OK") break;
-      saw_ok = true;
-      pairs = 0;
-    } else if (!saw_end && net::ParsePairLine(line, &pair).ok()) {
-      ++pairs;
-    } else if (!saw_end && net::ParseEndLine(line, &summary).ok()) {
-      saw_end = true;
-      std::printf("%ld pairs, then the stitched trace:\n", pairs);
-    } else if (saw_end && net::ParseTraceLine(line, &span).ok()) {
-      // Depth-indent the aggregated rows; the id on every row is what
-      // lets a log aggregator stitch multi-process traces back together.
-      std::printf("  [%s] %*s%-22s count=%llu total=%.3fms\n",
-                  span.id.c_str(), static_cast<int>(2 * span.depth), "",
-                  span.span.c_str(),
-                  static_cast<unsigned long long>(span.count),
-                  span.total_s * 1e3);
-    } else if (saw_end &&
-               net::ParseTraceEndLine(line, &trace_id, &spans).ok()) {
-      std::printf("  ENDTRACE id=%s spans=%llu\n", trace_id.c_str(),
-                  static_cast<unsigned long long>(spans));
-      close(fd);
-      return pairs;
-    } else {
-      break;
-    }
-  }
-  close(fd);
-  return -1;
+  std::printf("  ENDTRACE id=%s spans=%zu\n", request.trace_id.c_str(),
+              spans.size());
+  return static_cast<long>(summary.pairs);
 }
 
 }  // namespace

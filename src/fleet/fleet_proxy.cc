@@ -960,32 +960,7 @@ Status FleetProxy::ProbeEpoch(size_t index, const std::string& env_name,
   ProxyMetrics::Get().epoch_probes->Add();
   Result<net::ProtocolClient> dialed = pool_.Dial(index);
   if (!dialed.ok()) return dialed.status();
-  net::ProtocolClient conn = std::move(dialed).value();
-  std::string resp;
-  if (!conn.SendLine(net::FormatEpochRequestLine(env_name)) ||
-      !conn.ReadLine(&resp)) {
-    return Status::IoError("backend " + std::to_string(index) +
-                           " closed during an epoch probe");
-  }
-  if (resp != "OK") {
-    Status transported = Status::Corruption(
-        "backend " + std::to_string(index) + " sent '" + resp +
-        "' to an epoch probe");
-    net::ParseErrLine(resp, &transported);
-    return transported;
-  }
-  if (!conn.ReadLine(&resp)) {
-    return Status::IoError("backend " + std::to_string(index) +
-                           " closed before its epoch row");
-  }
-  std::string got_env;
-  RINGJOIN_RETURN_IF_ERROR(
-      net::ParseEpochResponseLine(resp, &got_env, epoch));
-  if (got_env != env_name) {
-    return Status::Corruption("epoch probe for '" + env_name +
-                              "' answered for '" + got_env + "'");
-  }
-  return Status::OK();
+  return dialed.value().Epoch(env_name, epoch);
 }
 
 Status FleetProxy::CatchUpEnv(size_t index, const std::string& env_name) {

@@ -1,7 +1,7 @@
 // Client-side socket I/O helpers for the ringjoin wire protocol — the
-// consuming counterpart of SocketSink. One LF-framed reader shared by
-// every in-tree client (rcj_tool client, examples) so framing details
-// (CR stripping, EINTR, partial recv) live in exactly one place.
+// consuming counterpart of SocketSink. The LF-framed reader behind
+// net::ProtocolClient, so framing details (CR stripping, EINTR, partial
+// recv) live in exactly one place.
 #ifndef RINGJOIN_NET_LINE_READER_H_
 #define RINGJOIN_NET_LINE_READER_H_
 

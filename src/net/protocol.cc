@@ -1,10 +1,13 @@
 #include "net/protocol.h"
 
+#include <array>
 #include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -13,14 +16,17 @@ namespace rcj {
 namespace net {
 namespace {
 
+bool IsBlank(char c) { return c == ' ' || c == '\t'; }
+bool IsLineEnd(char c) { return c == '\n' || c == '\r'; }
+
 /// Splits on runs of spaces/tabs and drops a trailing CR, so both strict
 /// clients and interactive netcat sessions (which send CRLF) parse alike.
 std::vector<std::string> Tokenize(const std::string& line) {
   std::vector<std::string> tokens;
   std::string current;
   for (char c : line) {
-    if (c == '\n' || c == '\r') break;
-    if (c == ' ' || c == '\t') {
+    if (IsLineEnd(c)) break;
+    if (IsBlank(c)) {
       if (!current.empty()) tokens.push_back(std::move(current));
       current.clear();
     } else {
@@ -31,14 +37,22 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-Status ParseBoolField(const std::string& key, const std::string& value,
-                      bool* out) {
-  if (!ParseBoolName(value, out)) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' wants 0/1/true/false, got '" + value +
-                                   "'");
+/// Verb dispatch without tokenizing (NetServer and FleetProxy test every
+/// request line): true iff the first token of `line` is `verb`, and with
+/// `alone` iff nothing but blanks follows it. Same whitespace and CR
+/// tolerance as Tokenize.
+bool FirstTokenIs(const std::string& line, const char* verb, bool alone) {
+  size_t i = 0;
+  while (i < line.size() && IsBlank(line[i])) ++i;
+  const size_t length = std::strlen(verb);
+  if (line.compare(i, length, verb) != 0) return false;
+  i += length;
+  if (i < line.size() && !IsBlank(line[i]) && !IsLineEnd(line[i])) {
+    return false;
   }
-  return Status::OK();
+  if (!alone) return true;
+  while (i < line.size() && IsBlank(line[i])) ++i;
+  return i == line.size() || IsLineEnd(line[i]);
 }
 
 bool IsEnvName(const std::string& name) {
@@ -52,125 +66,531 @@ bool IsEnvName(const std::string& name) {
   return true;
 }
 
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+/// One wire spelling of an enum value; each table below is the single
+/// source of truth for its enum's spellings.
+template <typename E>
+struct Spelling {
+  E value;
+  const char* name;
+};
 
-const char* StatusCodeWireName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "OK";
-    case StatusCode::kInvalidArgument:
-      return "InvalidArgument";
-    case StatusCode::kNotFound:
-      return "NotFound";
-    case StatusCode::kIoError:
-      return "IoError";
-    case StatusCode::kCorruption:
-      return "Corruption";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kCancelled:
-      return "Cancelled";
-    case StatusCode::kOverloaded:
-      return "Overloaded";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
+template <typename E, size_t N>
+const char* NameOf(const Spelling<E> (&table)[N], E value) {
+  for (const Spelling<E>& entry : table) {
+    if (entry.value == value) return entry.name;
   }
-  return "Unknown";
+  return "?";
 }
 
-bool ParseStatusCodeWireName(const std::string& token, StatusCode* code) {
-  for (StatusCode candidate :
-       {StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kIoError, StatusCode::kCorruption,
-        StatusCode::kNotSupported, StatusCode::kOutOfRange,
-        StatusCode::kCancelled, StatusCode::kOverloaded,
-        StatusCode::kDeadlineExceeded}) {
-    if (token == StatusCodeWireName(candidate)) {
-      *code = candidate;
+template <typename E, size_t N>
+bool ValueOf(const Spelling<E> (&table)[N], const std::string& name,
+             E* value) {
+  for (const Spelling<E>& entry : table) {
+    if (name == entry.name) {
+      *value = entry.value;
       return true;
     }
   }
   return false;
 }
 
-Status MakeStatus(StatusCode code, std::string message) {
-  switch (code) {
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(message));
-    case StatusCode::kNotFound:
-      return Status::NotFound(std::move(message));
-    case StatusCode::kIoError:
-      return Status::IoError(std::move(message));
-    case StatusCode::kCorruption:
-      return Status::Corruption(std::move(message));
-    case StatusCode::kNotSupported:
-      return Status::NotSupported(std::move(message));
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(std::move(message));
-    case StatusCode::kCancelled:
-      return Status::Cancelled(std::move(message));
-    case StatusCode::kOverloaded:
-      return Status::Overloaded(std::move(message));
-    case StatusCode::kDeadlineExceeded:
-      return Status::DeadlineExceeded(std::move(message));
-    case StatusCode::kOk:
-      break;
+constexpr Spelling<RcjAlgorithm> kAlgorithms[] = {
+    {RcjAlgorithm::kBrute, "brute"},
+    {RcjAlgorithm::kInj, "inj"},
+    {RcjAlgorithm::kBij, "bij"},
+    {RcjAlgorithm::kObj, "obj"},
+};
+
+constexpr Spelling<SearchOrder> kOrders[] = {
+    {SearchOrder::kDepthFirst, "dfs"},
+    {SearchOrder::kRandom, "random"},
+};
+
+constexpr Spelling<WireMutationOp> kMutationOps[] = {
+    {WireMutationOp::kInsert, "insert"},
+    {WireMutationOp::kDelete, "delete"},
+    {WireMutationOp::kCompact, "compact"},
+};
+
+constexpr Spelling<WireMutationOp> kMutationVerbs[] = {
+    {WireMutationOp::kInsert, "INSERT"},
+    {WireMutationOp::kDelete, "DELETE"},
+    {WireMutationOp::kCompact, "COMPACT"},
+};
+
+/// ERR codes: the wire spelling of each error code and the factory that
+/// rebuilds it on the receiving side.
+struct ErrCode {
+  StatusCode code;
+  const char* name;
+  Status (*make)(std::string message);
+};
+
+constexpr ErrCode kErrCodes[] = {
+    {StatusCode::kInvalidArgument, "InvalidArgument", &Status::InvalidArgument},
+    {StatusCode::kNotFound, "NotFound", &Status::NotFound},
+    {StatusCode::kIoError, "IoError", &Status::IoError},
+    {StatusCode::kCorruption, "Corruption", &Status::Corruption},
+    {StatusCode::kNotSupported, "NotSupported", &Status::NotSupported},
+    {StatusCode::kOutOfRange, "OutOfRange", &Status::OutOfRange},
+    {StatusCode::kCancelled, "Cancelled", &Status::Cancelled},
+    {StatusCode::kOverloaded, "Overloaded", &Status::Overloaded},
+    {StatusCode::kDeadlineExceeded, "DeadlineExceeded",
+     &Status::DeadlineExceeded},
+};
+
+// ---- The key=value record codec ------------------------------------------
+//
+// Every key=value line kind is a schema: an array of fields, each naming
+// its key, its wire type, and the member it reads from or fills. One
+// formatter and one strict parser serve every schema.
+
+/// How a field's value is spelled on the wire.
+enum class Type {
+  kUint64,       // digits
+  kPositive,     // kUint64, but 0 is OutOfRange
+  kInt64,        // optional '-', then digits
+  kDouble,       // finite; written %.17g, which round-trips exactly
+  kNonNegative,  // kDouble, but below 0 is OutOfRange
+  kDouble9,      // finite; written %.9g (trace timings)
+  kBool,         // 0/1/true/false; written 1/0
+  kBit,          // exactly 0 or 1
+  kEnvName,      // 1+ chars of [A-Za-z0-9_.-]
+  kToken,        // 1-64 chars of [A-Za-z0-9_.-] (IsValidTraceId)
+  kAlgorithm,    // brute|inj|bij|obj
+  kOrder,        // dfs|random
+  kSide,         // q|p
+  kOp,           // insert|delete|compact
+};
+
+/// Whether, and how, a field appears on its line.
+enum class Use {
+  kRequired,  // key=value, always written
+  kOptional,  // key=value, written only when it differs from the default
+  kBare,      // a leading value without a key (SHARD idx, ENV name)
+};
+
+/// One schema entry. `Slot` is `void*` when the schema binds a record to
+/// parse into, `const void*` when it binds one to format from.
+template <typename Slot>
+struct FieldT {
+  const char* key;
+  Type type;
+  Slot slot;
+  Use use = Use::kRequired;
+};
+using Field = FieldT<void*>;
+using ConstField = FieldT<const void*>;
+
+/// The field type a schema builds for a record `R` (const or not).
+template <typename R>
+using FieldFor =
+    FieldT<std::conditional_t<std::is_const<R>::value, const void*, void*>>;
+
+template <typename R>  // QUERY: WireRequest
+std::array<FieldFor<R>, 10> QuerySchema(R& r) {
+  using F = FieldFor<R>;
+  const Use opt = Use::kOptional;
+  return {
+      F{"env", Type::kEnvName, &r.env_name, opt},
+      F{"algo", Type::kAlgorithm, &r.spec.algorithm, opt},
+      F{"order", Type::kOrder, &r.spec.order, opt},
+      F{"verify", Type::kBool, &r.spec.verify, opt},
+      F{"seed", Type::kUint64, &r.spec.random_seed, opt},
+      F{"limit", Type::kUint64, &r.spec.limit, opt},
+      F{"io_ms", Type::kNonNegative, &r.spec.io_ms_per_fault, opt},
+      F{"deadline_ms", Type::kPositive, &r.deadline_ms, opt},
+      F{"trace", Type::kBool, &r.trace, opt},
+      F{"trace_id", Type::kToken, &r.trace_id, opt},
+  };
+}
+
+/// INSERT uses all five fields, DELETE the first three, COMPACT only env
+/// (MutationFieldCount).
+template <typename R>  // INSERT/DELETE/COMPACT: WireMutation
+std::array<FieldFor<R>, 5> MutationSchema(R& r) {
+  using F = FieldFor<R>;
+  return {
+      F{"env", Type::kEnvName, &r.env_name, Use::kOptional},
+      F{"side", Type::kSide, &r.side},
+      F{"id", Type::kInt64, &r.rec.id},
+      F{"x", Type::kDouble, &r.rec.pt.x},
+      F{"y", Type::kDouble, &r.rec.pt.y},
+  };
+}
+
+template <typename S>  // EPOCH request: the env name
+std::array<FieldFor<S>, 1> EpochRequestSchema(S* env_name) {
+  using F = FieldFor<S>;
+  return {
+      F{"env", Type::kEnvName, env_name, Use::kOptional},
+  };
+}
+
+template <typename R>  // END: WireSummary
+std::array<FieldFor<R>, 10> EndSchema(R& r) {
+  using F = FieldFor<R>;
+  return {
+      F{"pairs", Type::kUint64, &r.pairs},
+      F{"candidates", Type::kUint64, &r.stats.candidates},
+      F{"results", Type::kUint64, &r.stats.results},
+      F{"node_accesses", Type::kUint64, &r.stats.node_accesses},
+      F{"faults", Type::kUint64, &r.stats.page_faults},
+      F{"cold_faults", Type::kUint64, &r.stats.cold_faults},
+      F{"warm_faults", Type::kUint64, &r.stats.warm_faults},
+      F{"io_s", Type::kDouble, &r.stats.io_seconds},
+      F{"io_wall_s", Type::kDouble, &r.stats.io_wall_seconds},
+      F{"cpu_s", Type::kDouble, &r.stats.cpu_seconds},
+  };
+}
+
+template <typename R>  // SHARD: WireShardStats
+std::array<FieldFor<R>, 10> ShardSchema(R& r) {
+  using F = FieldFor<R>;
+  return {
+      F{"shard", Type::kUint64, &r.shard, Use::kBare},
+      F{"envs", Type::kUint64, &r.environments},
+      F{"queued", Type::kUint64, &r.queued},
+      F{"inflight", Type::kUint64, &r.inflight},
+      F{"submitted", Type::kUint64, &r.submitted},
+      F{"admitted", Type::kUint64, &r.admitted},
+      F{"shed", Type::kUint64, &r.shed},
+      F{"completed", Type::kUint64, &r.completed},
+      F{"cancelled", Type::kUint64, &r.cancelled},
+      F{"failed", Type::kUint64, &r.failed},
+  };
+}
+
+template <typename R>  // ENV: WireEnvStats
+std::array<FieldFor<R>, 10> EnvSchema(R& r) {
+  using F = FieldFor<R>;
+  return {
+      F{"name", Type::kEnvName, &r.name, Use::kBare},
+      F{"shard", Type::kUint64, &r.shard},
+      F{"live", Type::kBit, &r.live},
+      F{"generation", Type::kUint64, &r.generation},
+      F{"epoch", Type::kUint64, &r.epoch},
+      F{"delta", Type::kUint64, &r.delta},
+      F{"tombstones", Type::kUint64, &r.tombstones},
+      F{"compactions", Type::kUint64, &r.compactions},
+      F{"base_q", Type::kUint64, &r.base_q},
+      F{"base_p", Type::kUint64, &r.base_p},
+  };
+}
+
+template <typename U>  // ENDSTATS: the two row counts
+std::array<FieldFor<U>, 2> StatsEndSchema(U* shards, U* envs) {
+  using F = FieldFor<U>;
+  return {
+      F{"shards", Type::kUint64, shards},
+      F{"envs", Type::kUint64, envs},
+  };
+}
+
+template <typename R>  // MUT: WireMutationAck
+std::array<FieldFor<R>, 7> MutationAckSchema(R& r) {
+  using F = FieldFor<R>;
+  return {
+      F{"op", Type::kOp, &r.op},
+      F{"env", Type::kEnvName, &r.env_name},
+      F{"epoch", Type::kUint64, &r.epoch},
+      F{"generation", Type::kUint64, &r.generation},
+      F{"delta", Type::kUint64, &r.delta},
+      F{"tombstones", Type::kUint64, &r.tombstones},
+      F{"compactions", Type::kUint64, &r.compactions},
+  };
+}
+
+template <typename R>  // TRACE: WireTraceSpan
+std::array<FieldFor<R>, 6> TraceSchema(R& r) {
+  using F = FieldFor<R>;
+  return {
+      F{"id", Type::kToken, &r.id},
+      F{"depth", Type::kUint64, &r.depth},
+      F{"span", Type::kToken, &r.span},
+      F{"count", Type::kUint64, &r.count},
+      F{"total_s", Type::kDouble9, &r.total_s},
+      F{"start_s", Type::kDouble9, &r.start_s},
+  };
+}
+
+template <typename S, typename U>  // ENDTRACE: trace id and row count
+std::array<FieldFor<U>, 2> TraceEndSchema(S* id, U* spans) {
+  using F = FieldFor<U>;
+  return {
+      F{"id", Type::kToken, id},
+      F{"spans", Type::kUint64, spans},
+  };
+}
+
+template <typename U>  // ENDMETRICS: the exposition's line count
+std::array<FieldFor<U>, 1> MetricsEndSchema(U* lines) {
+  using F = FieldFor<U>;
+  return {
+      F{"lines", Type::kUint64, lines},
+  };
+}
+
+template <typename S, typename U>  // EPOCH response: env name and epoch
+std::array<FieldFor<U>, 2> EpochResponseSchema(S* env_name, U* epoch) {
+  using F = FieldFor<U>;
+  return {
+      F{"env", Type::kEnvName, env_name},
+      F{"epoch", Type::kUint64, epoch},
+  };
+}
+
+std::string FormatDouble(const char* format, double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), format, value);
+  return buffer;
+}
+
+template <typename T>
+const T& Get(const ConstField& field) {
+  return *static_cast<const T*>(field.slot);
+}
+
+std::string FormatValue(const ConstField& field) {
+  switch (field.type) {
+    case Type::kUint64:
+    case Type::kPositive:
+      return std::to_string(Get<uint64_t>(field));
+    case Type::kInt64:
+      return std::to_string(Get<int64_t>(field));
+    case Type::kDouble:
+    case Type::kNonNegative:
+      return FormatDouble("%.17g", Get<double>(field));
+    case Type::kDouble9:
+      return FormatDouble("%.9g", Get<double>(field));
+    case Type::kBool:
+    case Type::kBit:
+      return Get<bool>(field) ? "1" : "0";
+    case Type::kEnvName:
+    case Type::kToken:
+      return Get<std::string>(field);
+    case Type::kAlgorithm:
+      return AlgorithmWireName(Get<RcjAlgorithm>(field));
+    case Type::kOrder:
+      return SearchOrderWireName(Get<SearchOrder>(field));
+    case Type::kSide:
+      return LiveSideName(Get<LiveSide>(field));
+    case Type::kOp:
+      return MutationOpWireName(Get<WireMutationOp>(field));
+  }
+  return "";
+}
+
+/// The one formatter: `verb`, then each field in schema order. Optional
+/// fields are omitted while they equal the matching field of `defaults`.
+std::string FormatFields(const char* verb, const ConstField* fields,
+                         size_t count, const ConstField* defaults = nullptr) {
+  std::string line = verb;
+  for (size_t i = 0; i < count; ++i) {
+    const std::string value = FormatValue(fields[i]);
+    if (fields[i].use == Use::kOptional &&
+        value == FormatValue(defaults[i])) {
+      continue;
+    }
+    line += ' ';
+    if (fields[i].use != Use::kBare) {
+      line += fields[i].key;
+      line += '=';
+    }
+    line += value;
+  }
+  return line;
+}
+
+template <size_t N>
+std::string FormatFields(const char* verb,
+                         const std::array<ConstField, N>& fields) {
+  return FormatFields(verb, fields.data(), N);
+}
+
+Status ParseValue(const Field& field, const std::string& value) {
+  const std::string key = field.key;
+  switch (field.type) {
+    case Type::kUint64:
+      return ParseUint64Field(key, value, static_cast<uint64_t*>(field.slot));
+    case Type::kPositive: {
+      uint64_t* out = static_cast<uint64_t*>(field.slot);
+      RINGJOIN_RETURN_IF_ERROR(ParseUint64Field(key, value, out));
+      if (*out == 0) {
+        return Status::OutOfRange("field '" + key + "' must be positive");
+      }
+      return Status::OK();
+    }
+    case Type::kInt64:
+      return ParseInt64Field(key, value, static_cast<int64_t*>(field.slot));
+    case Type::kDouble:
+    case Type::kDouble9:
+      return ParseDoubleField(key, value, static_cast<double*>(field.slot));
+    case Type::kNonNegative: {
+      double* out = static_cast<double*>(field.slot);
+      RINGJOIN_RETURN_IF_ERROR(ParseDoubleField(key, value, out));
+      if (*out < 0.0) {
+        return Status::OutOfRange("field '" + key + "' must be non-negative");
+      }
+      return Status::OK();
+    }
+    case Type::kBool:
+      if (!ParseBoolName(value, static_cast<bool*>(field.slot))) {
+        return Status::InvalidArgument(
+            "field '" + key + "' wants 0/1/true/false, got '" + value + "'");
+      }
+      return Status::OK();
+    case Type::kBit:
+      if (value != "0" && value != "1") {
+        return Status::InvalidArgument("field '" + key +
+                                       "' wants 0 or 1, got '" + value + "'");
+      }
+      *static_cast<bool*>(field.slot) = value == "1";
+      return Status::OK();
+    case Type::kEnvName:
+      if (!IsEnvName(value)) {
+        return Status::InvalidArgument("invalid env name '" + value + "'");
+      }
+      *static_cast<std::string*>(field.slot) = value;
+      return Status::OK();
+    case Type::kToken:
+      if (!IsValidTraceId(value)) {
+        return Status::InvalidArgument(
+            "field '" + key + "' wants 1-64 chars of [A-Za-z0-9_.-], got '" +
+            value + "'");
+      }
+      *static_cast<std::string*>(field.slot) = value;
+      return Status::OK();
+    case Type::kAlgorithm:
+      if (!ParseAlgorithmName(value, static_cast<RcjAlgorithm*>(field.slot))) {
+        return Status::InvalidArgument("unknown algorithm '" + value +
+                                       "' (want brute|inj|bij|obj)");
+      }
+      return Status::OK();
+    case Type::kOrder:
+      if (!ParseSearchOrderName(value,
+                                static_cast<SearchOrder*>(field.slot))) {
+        return Status::InvalidArgument("unknown search order '" + value +
+                                       "' (want dfs|random)");
+      }
+      return Status::OK();
+    case Type::kSide:
+      if (!ParseLiveSideName(value, static_cast<LiveSide*>(field.slot))) {
+        return Status::InvalidArgument("field '" + key + "' wants q|p, got '" +
+                                       value + "'");
+      }
+      return Status::OK();
+    case Type::kOp:
+      if (!ParseMutationOpName(value,
+                               static_cast<WireMutationOp*>(field.slot))) {
+        return Status::InvalidArgument("unknown op '" + value +
+                                       "' (want insert|delete|compact)");
+      }
+      return Status::OK();
+  }
+  return Status::InvalidArgument("field '" + key + "' has no wire type");
+}
+
+/// Who writes a line kind decides the key order it is parsed with.
+enum class KeyOrder {
+  kAny,        // requests: typed by people and scripts
+  kCanonical,  // responses: exactly the formatter's order
+};
+
+constexpr size_t kMaxFields = 16;
+
+/// The one strict parser: fills `fields` from `tokens` (tokens[0] is the
+/// already-matched verb). Unknown, empty, duplicate and missing required
+/// keys are InvalidArgument, as are keys out of schema order under
+/// KeyOrder::kCanonical.
+Status ParseFields(const std::vector<std::string>& tokens, Field* fields,
+                   size_t count, KeyOrder order) {
+  const std::string& verb = tokens[0];
+  size_t t = 1;
+  size_t first_keyed = 0;
+  for (; first_keyed < count && fields[first_keyed].use == Use::kBare;
+       ++first_keyed, ++t) {
+    if (t >= tokens.size()) {
+      return Status::InvalidArgument(verb + " line is missing field '" +
+                                     fields[first_keyed].key + "'");
+    }
+    RINGJOIN_RETURN_IF_ERROR(ParseValue(fields[first_keyed], tokens[t]));
+  }
+  std::array<bool, kMaxFields> seen{};
+  size_t next = first_keyed;  // KeyOrder::kCanonical: lowest legal index
+  for (; t < tokens.size(); ++t) {
+    const std::string& token = tokens[t];
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      return Status::InvalidArgument(verb + " field '" + token +
+                                     "' is not key=value");
+    }
+    if (eq == 0) {
+      return Status::InvalidArgument("empty key in field '" + token + "'");
+    }
+    const std::string key = token.substr(0, eq);
+    size_t i = first_keyed;
+    while (i < count && key != fields[i].key) ++i;
+    if (i == count) {
+      return Status::InvalidArgument("unknown " + verb + " key '" + key +
+                                     "'");
+    }
+    if (seen[i]) {
+      return Status::InvalidArgument("duplicate key '" + key + "'");
+    }
+    if (order == KeyOrder::kCanonical && i < next) {
+      return Status::InvalidArgument(verb + " key '" + key +
+                                     "' is out of order");
+    }
+    seen[i] = true;
+    next = i + 1;
+    RINGJOIN_RETURN_IF_ERROR(ParseValue(fields[i], token.substr(eq + 1)));
+  }
+  for (size_t i = first_keyed; i < count; ++i) {
+    if (fields[i].use == Use::kRequired && !seen[i]) {
+      return Status::InvalidArgument(verb + " line is missing field '" +
+                                     fields[i].key + "'");
+    }
   }
   return Status::OK();
+}
+
+/// Tokenizes `line`, checks its verb, and parses the rest against `fields`.
+template <size_t N>
+Status ParseLine(const std::string& line, const char* verb,
+                 std::array<Field, N> fields, KeyOrder order) {
+  static_assert(N <= kMaxFields, "ParseFields tracks at most kMaxFields");
+  const std::vector<std::string> tokens = Tokenize(line);
+  if (tokens.empty() || tokens[0] != verb) {
+    return Status::InvalidArgument(std::string("expected a ") + verb +
+                                   " line");
+  }
+  return ParseFields(tokens, fields.data(), N, order);
+}
+
+/// How many leading MutationSchema fields `op` owns.
+size_t MutationFieldCount(WireMutationOp op) {
+  if (op == WireMutationOp::kInsert) return 5;
+  if (op == WireMutationOp::kDelete) return 3;
+  return 1;
 }
 
 }  // namespace
 
 const char* AlgorithmWireName(RcjAlgorithm algorithm) {
-  switch (algorithm) {
-    case RcjAlgorithm::kBrute:
-      return "brute";
-    case RcjAlgorithm::kInj:
-      return "inj";
-    case RcjAlgorithm::kBij:
-      return "bij";
-    case RcjAlgorithm::kObj:
-      return "obj";
-  }
-  return "?";
+  return NameOf(kAlgorithms, algorithm);
 }
 
 bool ParseAlgorithmName(const std::string& name, RcjAlgorithm* algorithm) {
-  for (RcjAlgorithm candidate : {RcjAlgorithm::kBrute, RcjAlgorithm::kInj,
-                                 RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
-    if (name == AlgorithmWireName(candidate)) {
-      *algorithm = candidate;
-      return true;
-    }
-  }
-  return false;
+  return ValueOf(kAlgorithms, name, algorithm);
 }
 
 const char* SearchOrderWireName(SearchOrder order) {
-  switch (order) {
-    case SearchOrder::kDepthFirst:
-      return "dfs";
-    case SearchOrder::kRandom:
-      return "random";
-  }
-  return "?";
+  return NameOf(kOrders, order);
 }
 
 bool ParseSearchOrderName(const std::string& name, SearchOrder* order) {
-  for (SearchOrder candidate :
-       {SearchOrder::kDepthFirst, SearchOrder::kRandom}) {
-    if (name == SearchOrderWireName(candidate)) {
-      *order = candidate;
-      return true;
-    }
-  }
-  return false;
+  return ValueOf(kOrders, name, order);
 }
 
 bool ParseBoolName(const std::string& name, bool* value) {
@@ -240,111 +660,14 @@ Status ParseDoubleField(const std::string& key, const std::string& value,
 
 Status ParseRequestLine(const std::string& line, WireRequest* out) {
   *out = WireRequest{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "QUERY") {
-    return Status::InvalidArgument("request must start with QUERY");
-  }
-
-  std::vector<std::string> seen;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& field = tokens[i];
-    const size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("field '" + field +
-                                     "' is not key=value");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key.empty()) {
-      return Status::InvalidArgument("empty key in field '" + field + "'");
-    }
-    for (const std::string& earlier : seen) {
-      if (earlier == key) {
-        return Status::InvalidArgument("duplicate key '" + key + "'");
-      }
-    }
-    seen.push_back(key);
-
-    Status status = Status::OK();
-    if (key == "env") {
-      if (!IsEnvName(value)) {
-        status = Status::InvalidArgument("invalid env name '" + value + "'");
-      } else {
-        out->env_name = value;
-      }
-    } else if (key == "algo") {
-      if (!ParseAlgorithmName(value, &out->spec.algorithm)) {
-        status =
-            Status::InvalidArgument("unknown algorithm '" + value +
-                                    "' (want brute|inj|bij|obj)");
-      }
-    } else if (key == "order") {
-      if (!ParseSearchOrderName(value, &out->spec.order)) {
-        status = Status::InvalidArgument("unknown search order '" + value +
-                                         "' (want dfs|random)");
-      }
-    } else if (key == "verify") {
-      status = ParseBoolField(key, value, &out->spec.verify);
-    } else if (key == "seed") {
-      status = ParseUint64Field(key, value, &out->spec.random_seed);
-    } else if (key == "limit") {
-      status = ParseUint64Field(key, value, &out->spec.limit);
-    } else if (key == "io_ms") {
-      status = ParseDoubleField(key, value, &out->spec.io_ms_per_fault);
-      if (status.ok() && out->spec.io_ms_per_fault < 0.0) {
-        status = Status::OutOfRange("field 'io_ms' must be non-negative");
-      }
-    } else if (key == "deadline_ms") {
-      status = ParseUint64Field(key, value, &out->deadline_ms);
-      if (status.ok() && out->deadline_ms == 0) {
-        status = Status::OutOfRange("field 'deadline_ms' must be positive");
-      }
-    } else if (key == "trace") {
-      status = ParseBoolField(key, value, &out->trace);
-    } else if (key == "trace_id") {
-      if (!IsValidTraceId(value)) {
-        status = Status::InvalidArgument("invalid trace id '" + value + "'");
-      } else {
-        out->trace_id = value;
-      }
-    } else {
-      status = Status::InvalidArgument("unknown key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
+  return ParseLine(line, "QUERY", QuerySchema(*out), KeyOrder::kAny);
 }
 
 std::string FormatRequestLine(const WireRequest& request) {
   const WireRequest defaults;
-  std::string line = "QUERY";
-  if (request.env_name != defaults.env_name) {
-    line += " env=" + request.env_name;
-  }
-  if (request.spec.algorithm != defaults.spec.algorithm) {
-    line += std::string(" algo=") + AlgorithmWireName(request.spec.algorithm);
-  }
-  if (request.spec.order != defaults.spec.order) {
-    line += std::string(" order=") + SearchOrderWireName(request.spec.order);
-  }
-  if (request.spec.verify != defaults.spec.verify) {
-    line += request.spec.verify ? " verify=1" : " verify=0";
-  }
-  if (request.spec.random_seed != defaults.spec.random_seed) {
-    line += " seed=" + std::to_string(request.spec.random_seed);
-  }
-  if (request.spec.limit != defaults.spec.limit) {
-    line += " limit=" + std::to_string(request.spec.limit);
-  }
-  if (request.spec.io_ms_per_fault != defaults.spec.io_ms_per_fault) {
-    line += " io_ms=" + FormatDouble(request.spec.io_ms_per_fault);
-  }
-  if (request.deadline_ms != 0) {
-    line += " deadline_ms=" + std::to_string(request.deadline_ms);
-  }
-  if (request.trace) line += " trace=1";
-  if (!request.trace_id.empty()) line += " trace_id=" + request.trace_id;
-  return line;
+  const auto fields = QuerySchema(request);
+  return FormatFields("QUERY", fields.data(), fields.size(),
+                      QuerySchema(defaults).data());
 }
 
 std::string FormatPairLine(const RcjPair& pair) {
@@ -393,90 +716,21 @@ Status ParsePairLine(const std::string& line, RcjPair* out) {
 }
 
 std::string FormatEndLine(const WireSummary& summary) {
-  char buffer[352];
-  std::snprintf(buffer, sizeof(buffer),
-                "END pairs=%llu candidates=%llu results=%llu "
-                "node_accesses=%llu faults=%llu cold_faults=%llu "
-                "warm_faults=%llu io_s=%.17g io_wall_s=%.17g cpu_s=%.17g",
-                static_cast<unsigned long long>(summary.pairs),
-                static_cast<unsigned long long>(summary.stats.candidates),
-                static_cast<unsigned long long>(summary.stats.results),
-                static_cast<unsigned long long>(summary.stats.node_accesses),
-                static_cast<unsigned long long>(summary.stats.page_faults),
-                static_cast<unsigned long long>(summary.stats.cold_faults),
-                static_cast<unsigned long long>(summary.stats.warm_faults),
-                summary.stats.io_seconds, summary.stats.io_wall_seconds,
-                summary.stats.cpu_seconds);
-  return buffer;
+  return FormatFields("END", EndSchema(summary));
 }
 
 Status ParseEndLine(const std::string& line, WireSummary* out) {
   *out = WireSummary{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "END") {
-    return Status::InvalidArgument("END line must start with END");
-  }
-  bool seen[10] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("END field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "pairs") {
-      slot = 0;
-      status = ParseUint64Field(key, value, &out->pairs);
-    } else if (key == "candidates") {
-      slot = 1;
-      status = ParseUint64Field(key, value, &out->stats.candidates);
-    } else if (key == "results") {
-      slot = 2;
-      status = ParseUint64Field(key, value, &out->stats.results);
-    } else if (key == "node_accesses") {
-      slot = 3;
-      status = ParseUint64Field(key, value, &out->stats.node_accesses);
-    } else if (key == "faults") {
-      slot = 4;
-      status = ParseUint64Field(key, value, &out->stats.page_faults);
-    } else if (key == "cold_faults") {
-      slot = 5;
-      status = ParseUint64Field(key, value, &out->stats.cold_faults);
-    } else if (key == "warm_faults") {
-      slot = 6;
-      status = ParseUint64Field(key, value, &out->stats.warm_faults);
-    } else if (key == "io_s") {
-      slot = 7;
-      status = ParseDoubleField(key, value, &out->stats.io_seconds);
-    } else if (key == "io_wall_s") {
-      slot = 8;
-      status = ParseDoubleField(key, value, &out->stats.io_wall_seconds);
-    } else if (key == "cpu_s") {
-      slot = 9;
-      status = ParseDoubleField(key, value, &out->stats.cpu_seconds);
-    } else {
-      return Status::InvalidArgument("unknown END key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate END key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("END line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseLine(line, "END", EndSchema(*out), KeyOrder::kCanonical);
 }
 
 std::string FormatErrLine(const Status& status) {
   std::string line = "ERR ";
-  line += StatusCodeWireName(status.code());
+  const char* name = "OK";
+  for (const ErrCode& err : kErrCodes) {
+    if (err.code == status.code()) name = err.name;
+  }
+  line += name;
   if (!status.message().empty()) {
     line += ' ';
     // Keep the frame one line no matter what the message contains.
@@ -488,587 +742,152 @@ std::string FormatErrLine(const Status& status) {
 }
 
 bool IsStatsRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return tokens.size() == 1 && tokens[0] == "STATS";
+  return FirstTokenIs(line, "STATS", /*alone=*/true);
 }
 
 std::string FormatShardStatsLine(const WireShardStats& stats) {
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "SHARD %llu envs=%llu queued=%llu inflight=%llu "
-                "submitted=%llu admitted=%llu shed=%llu completed=%llu "
-                "cancelled=%llu failed=%llu",
-                static_cast<unsigned long long>(stats.shard),
-                static_cast<unsigned long long>(stats.environments),
-                static_cast<unsigned long long>(stats.queued),
-                static_cast<unsigned long long>(stats.inflight),
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.admitted),
-                static_cast<unsigned long long>(stats.shed),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.cancelled),
-                static_cast<unsigned long long>(stats.failed));
-  return buffer;
+  return FormatFields("SHARD", ShardSchema(stats));
 }
 
 Status ParseShardStatsLine(const std::string& line, WireShardStats* out) {
   *out = WireShardStats{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() < 2 || tokens[0] != "SHARD") {
-    return Status::InvalidArgument("SHARD line wants 'SHARD idx key=N ...'");
-  }
-  RINGJOIN_RETURN_IF_ERROR(ParseUint64Field("shard", tokens[1], &out->shard));
-  struct Field {
-    const char* key;
-    uint64_t* slot;
-  };
-  const Field fields[] = {
-      {"envs", &out->environments},   {"queued", &out->queued},
-      {"inflight", &out->inflight},   {"submitted", &out->submitted},
-      {"admitted", &out->admitted},   {"shed", &out->shed},
-      {"completed", &out->completed}, {"cancelled", &out->cancelled},
-      {"failed", &out->failed},
-  };
-  constexpr size_t kFieldCount = sizeof(fields) / sizeof(fields[0]);
-  bool seen[kFieldCount] = {};
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("SHARD field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    size_t slot = kFieldCount;
-    for (size_t f = 0; f < kFieldCount; ++f) {
-      if (key == fields[f].key) {
-        slot = f;
-        break;
-      }
-    }
-    if (slot == kFieldCount) {
-      return Status::InvalidArgument("unknown SHARD key '" + key + "'");
-    }
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate SHARD key '" + key + "'");
-    }
-    seen[slot] = true;
-    RINGJOIN_RETURN_IF_ERROR(ParseUint64Field(key, value, fields[slot].slot));
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("SHARD line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseLine(line, "SHARD", ShardSchema(*out), KeyOrder::kCanonical);
 }
 
 std::string FormatEnvStatsLine(const WireEnvStats& stats) {
-  char buffer[384];
-  std::snprintf(buffer, sizeof(buffer),
-                "ENV %s shard=%llu live=%d generation=%llu epoch=%llu "
-                "delta=%llu tombstones=%llu compactions=%llu base_q=%llu "
-                "base_p=%llu",
-                stats.name.c_str(),
-                static_cast<unsigned long long>(stats.shard),
-                stats.live ? 1 : 0,
-                static_cast<unsigned long long>(stats.generation),
-                static_cast<unsigned long long>(stats.epoch),
-                static_cast<unsigned long long>(stats.delta),
-                static_cast<unsigned long long>(stats.tombstones),
-                static_cast<unsigned long long>(stats.compactions),
-                static_cast<unsigned long long>(stats.base_q),
-                static_cast<unsigned long long>(stats.base_p));
-  return buffer;
+  return FormatFields("ENV", EnvSchema(stats));
 }
 
 Status ParseEnvStatsLine(const std::string& line, WireEnvStats* out) {
   *out = WireEnvStats{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() < 2 || tokens[0] != "ENV") {
-    return Status::InvalidArgument("ENV line wants 'ENV name key=N ...'");
-  }
-  if (!IsEnvName(tokens[1])) {
-    return Status::InvalidArgument("invalid env name '" + tokens[1] + "'");
-  }
-  out->name = tokens[1];
-  struct Field {
-    const char* key;
-    uint64_t* slot;
-  };
-  uint64_t live = 0;
-  const Field fields[] = {
-      {"shard", &out->shard},           {"live", &live},
-      {"generation", &out->generation}, {"epoch", &out->epoch},
-      {"delta", &out->delta},           {"tombstones", &out->tombstones},
-      {"compactions", &out->compactions},
-      {"base_q", &out->base_q},         {"base_p", &out->base_p},
-  };
-  constexpr size_t kFieldCount = sizeof(fields) / sizeof(fields[0]);
-  bool seen[kFieldCount] = {};
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("ENV field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    size_t slot = kFieldCount;
-    for (size_t f = 0; f < kFieldCount; ++f) {
-      if (key == fields[f].key) {
-        slot = f;
-        break;
-      }
-    }
-    if (slot == kFieldCount) {
-      return Status::InvalidArgument("unknown ENV key '" + key + "'");
-    }
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate ENV key '" + key + "'");
-    }
-    seen[slot] = true;
-    RINGJOIN_RETURN_IF_ERROR(ParseUint64Field(key, value, fields[slot].slot));
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("ENV line is missing fields");
-    }
-  }
-  if (live > 1) {
-    return Status::InvalidArgument("ENV field 'live' wants 0 or 1");
-  }
-  out->live = live != 0;
-  return Status::OK();
+  return ParseLine(line, "ENV", EnvSchema(*out), KeyOrder::kCanonical);
 }
 
-std::string FormatStatsEndLine(uint64_t shards, uint64_t envs) {
-  return "ENDSTATS shards=" + std::to_string(shards) +
-         " envs=" + std::to_string(envs);
+std::string FormatStatsEndLine(const uint64_t shards, const uint64_t envs) {
+  return FormatFields("ENDSTATS", StatsEndSchema(&shards, &envs));
 }
 
 Status ParseStatsEndLine(const std::string& line, uint64_t* shards,
                          uint64_t* envs) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 3 || tokens[0] != "ENDSTATS" ||
-      tokens[1].rfind("shards=", 0) != 0 ||
-      tokens[2].rfind("envs=", 0) != 0) {
-    return Status::InvalidArgument(
-        "ENDSTATS line wants 'ENDSTATS shards=N envs=N'");
-  }
-  RINGJOIN_RETURN_IF_ERROR(
-      ParseUint64Field("shards", tokens[1].substr(7), shards));
-  return ParseUint64Field("envs", tokens[2].substr(5), envs);
+  return ParseLine(line, "ENDSTATS", StatsEndSchema(shards, envs),
+                   KeyOrder::kCanonical);
 }
 
 const char* MutationOpWireName(WireMutationOp op) {
-  switch (op) {
-    case WireMutationOp::kInsert:
-      return "insert";
-    case WireMutationOp::kDelete:
-      return "delete";
-    case WireMutationOp::kCompact:
-      return "compact";
-  }
-  return "?";
+  return NameOf(kMutationOps, op);
 }
 
 bool ParseMutationOpName(const std::string& name, WireMutationOp* op) {
-  for (WireMutationOp candidate :
-       {WireMutationOp::kInsert, WireMutationOp::kDelete,
-        WireMutationOp::kCompact}) {
-    if (name == MutationOpWireName(candidate)) {
-      *op = candidate;
-      return true;
-    }
-  }
-  return false;
+  return ValueOf(kMutationOps, name, op);
 }
 
 bool IsMutationRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() &&
-         (tokens[0] == "INSERT" || tokens[0] == "DELETE" ||
-          tokens[0] == "COMPACT");
+  return FirstTokenIs(line, "INSERT", false) ||
+         FirstTokenIs(line, "DELETE", false) ||
+         FirstTokenIs(line, "COMPACT", false);
 }
 
 Status ParseMutationLine(const std::string& line, WireMutation* out) {
   *out = WireMutation{};
   const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) {
+  if (tokens.empty() || !ValueOf(kMutationVerbs, tokens[0], &out->op)) {
     return Status::InvalidArgument(
         "mutation must start with INSERT, DELETE, or COMPACT");
   }
-  if (tokens[0] == "INSERT") {
-    out->op = WireMutationOp::kInsert;
-  } else if (tokens[0] == "DELETE") {
-    out->op = WireMutationOp::kDelete;
-  } else if (tokens[0] == "COMPACT") {
-    out->op = WireMutationOp::kCompact;
-  } else {
-    return Status::InvalidArgument(
-        "mutation must start with INSERT, DELETE, or COMPACT");
-  }
-  const bool wants_point = out->op == WireMutationOp::kInsert;
-  const bool wants_id = out->op != WireMutationOp::kCompact;
-
-  // seen slots: env, side, id, x, y.
-  bool seen[5] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& field = tokens[i];
-    const size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("field '" + field +
-                                     "' is not key=value");
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "env") {
-      slot = 0;
-      if (!IsEnvName(value)) {
-        status = Status::InvalidArgument("invalid env name '" + value + "'");
-      } else {
-        out->env_name = value;
-      }
-    } else if (key == "side" && wants_id) {
-      slot = 1;
-      if (!ParseLiveSideName(value, &out->side)) {
-        status = Status::InvalidArgument("field 'side' wants q|p, got '" +
-                                         value + "'");
-      }
-    } else if (key == "id" && wants_id) {
-      slot = 2;
-      status = ParseInt64Field(key, value, &out->rec.id);
-    } else if (key == "x" && wants_point) {
-      slot = 3;
-      status = ParseDoubleField(key, value, &out->rec.pt.x);
-    } else if (key == "y" && wants_point) {
-      slot = 4;
-      status = ParseDoubleField(key, value, &out->rec.pt.y);
-    } else {
-      status = Status::InvalidArgument("unknown " +
-                                       std::string(tokens[0]) + " key '" +
-                                       key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  const int required_from = 1;
-  const int required_to = wants_point ? 4 : (wants_id ? 2 : 0);
-  for (int slot = required_from; slot <= required_to; ++slot) {
-    if (!seen[slot]) {
-      static const char* kNames[] = {"env", "side", "id", "x", "y"};
-      return Status::InvalidArgument(std::string(tokens[0]) +
-                                     " is missing field '" + kNames[slot] +
-                                     "'");
-    }
-  }
-  return Status::OK();
+  return ParseFields(tokens, MutationSchema(*out).data(),
+                     MutationFieldCount(out->op), KeyOrder::kAny);
 }
 
 std::string FormatMutationLine(const WireMutation& mutation) {
-  std::string line;
-  switch (mutation.op) {
-    case WireMutationOp::kInsert:
-      line = "INSERT";
-      break;
-    case WireMutationOp::kDelete:
-      line = "DELETE";
-      break;
-    case WireMutationOp::kCompact:
-      line = "COMPACT";
-      break;
-  }
   const WireMutation defaults;
-  if (mutation.env_name != defaults.env_name) {
-    line += " env=" + mutation.env_name;
-  }
-  if (mutation.op != WireMutationOp::kCompact) {
-    line += std::string(" side=") + LiveSideName(mutation.side);
-    line += " id=" + std::to_string(mutation.rec.id);
-  }
-  if (mutation.op == WireMutationOp::kInsert) {
-    line += " x=" + FormatDouble(mutation.rec.pt.x);
-    line += " y=" + FormatDouble(mutation.rec.pt.y);
-  }
-  return line;
+  return FormatFields(NameOf(kMutationVerbs, mutation.op),
+                      MutationSchema(mutation).data(),
+                      MutationFieldCount(mutation.op),
+                      MutationSchema(defaults).data());
 }
 
 std::string FormatMutationAckLine(const WireMutationAck& ack) {
-  char buffer[320];
-  std::snprintf(buffer, sizeof(buffer),
-                "MUT op=%s env=%s epoch=%llu generation=%llu delta=%llu "
-                "tombstones=%llu compactions=%llu",
-                MutationOpWireName(ack.op), ack.env_name.c_str(),
-                static_cast<unsigned long long>(ack.epoch),
-                static_cast<unsigned long long>(ack.generation),
-                static_cast<unsigned long long>(ack.delta),
-                static_cast<unsigned long long>(ack.tombstones),
-                static_cast<unsigned long long>(ack.compactions));
-  return buffer;
+  return FormatFields("MUT", MutationAckSchema(ack));
 }
 
 Status ParseMutationAckLine(const std::string& line, WireMutationAck* out) {
   *out = WireMutationAck{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "MUT") {
-    return Status::InvalidArgument("MUT line must start with MUT");
-  }
-  // seen slots: op, env, epoch, generation, delta, tombstones, compactions.
-  bool seen[7] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("MUT field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "op") {
-      slot = 0;
-      if (!ParseMutationOpName(value, &out->op)) {
-        status = Status::InvalidArgument(
-            "unknown op '" + value + "' (want insert|delete|compact)");
-      }
-    } else if (key == "env") {
-      slot = 1;
-      if (!IsEnvName(value)) {
-        status = Status::InvalidArgument("invalid env name '" + value + "'");
-      } else {
-        out->env_name = value;
-      }
-    } else if (key == "epoch") {
-      slot = 2;
-      status = ParseUint64Field(key, value, &out->epoch);
-    } else if (key == "generation") {
-      slot = 3;
-      status = ParseUint64Field(key, value, &out->generation);
-    } else if (key == "delta") {
-      slot = 4;
-      status = ParseUint64Field(key, value, &out->delta);
-    } else if (key == "tombstones") {
-      slot = 5;
-      status = ParseUint64Field(key, value, &out->tombstones);
-    } else if (key == "compactions") {
-      slot = 6;
-      status = ParseUint64Field(key, value, &out->compactions);
-    } else {
-      return Status::InvalidArgument("unknown MUT key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate MUT key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("MUT line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseLine(line, "MUT", MutationAckSchema(*out), KeyOrder::kCanonical);
 }
 
 bool IsValidTraceId(const std::string& id) {
-  if (id.empty() || id.size() > 64) return false;
-  for (char c : id) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' ||
-                    c == '.';
-    if (!ok) return false;
-  }
-  return true;
+  return id.size() <= 64 && IsEnvName(id);
 }
 
-namespace {
-
-/// Span names share the trace-id charset (they travel as bare tokens).
-bool IsValidSpanName(const std::string& name) { return IsValidTraceId(name); }
-
-}  // namespace
-
 bool IsTraceLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "TRACE";
+  return FirstTokenIs(line, "TRACE", false);
 }
 
 std::string FormatTraceLine(const WireTraceSpan& span) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "TRACE id=%s depth=%llu span=%s count=%llu total_s=%.9g "
-                "start_s=%.9g",
-                span.id.c_str(),
-                static_cast<unsigned long long>(span.depth),
-                span.span.c_str(),
-                static_cast<unsigned long long>(span.count), span.total_s,
-                span.start_s);
-  return buffer;
+  return FormatFields("TRACE", TraceSchema(span));
 }
 
 Status ParseTraceLine(const std::string& line, WireTraceSpan* out) {
   *out = WireTraceSpan{};
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "TRACE") {
-    return Status::InvalidArgument("TRACE line must start with TRACE");
-  }
-  // seen slots: id, depth, span, count, total_s, start_s.
-  bool seen[6] = {};
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("TRACE field '" + tokens[i] +
-                                     "' is not key=value");
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    Status status = Status::OK();
-    int slot = -1;
-    if (key == "id") {
-      slot = 0;
-      if (!IsValidTraceId(value)) {
-        status = Status::InvalidArgument("invalid trace id '" + value + "'");
-      } else {
-        out->id = value;
-      }
-    } else if (key == "depth") {
-      slot = 1;
-      status = ParseUint64Field(key, value, &out->depth);
-    } else if (key == "span") {
-      slot = 2;
-      if (!IsValidSpanName(value)) {
-        status = Status::InvalidArgument("invalid span name '" + value +
-                                         "'");
-      } else {
-        out->span = value;
-      }
-    } else if (key == "count") {
-      slot = 3;
-      status = ParseUint64Field(key, value, &out->count);
-    } else if (key == "total_s") {
-      slot = 4;
-      status = ParseDoubleField(key, value, &out->total_s);
-    } else if (key == "start_s") {
-      slot = 5;
-      status = ParseDoubleField(key, value, &out->start_s);
-    } else {
-      return Status::InvalidArgument("unknown TRACE key '" + key + "'");
-    }
-    if (!status.ok()) return status;
-    if (seen[slot]) {
-      return Status::InvalidArgument("duplicate TRACE key '" + key + "'");
-    }
-    seen[slot] = true;
-  }
-  for (bool present : seen) {
-    if (!present) {
-      return Status::InvalidArgument("TRACE line is missing fields");
-    }
-  }
-  return Status::OK();
+  return ParseLine(line, "TRACE", TraceSchema(*out), KeyOrder::kCanonical);
 }
 
 bool IsTraceEndLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "ENDTRACE";
+  return FirstTokenIs(line, "ENDTRACE", false);
 }
 
-std::string FormatTraceEndLine(const std::string& id, uint64_t spans) {
-  return "ENDTRACE id=" + id + " spans=" + std::to_string(spans);
+std::string FormatTraceEndLine(const std::string& id, const uint64_t spans) {
+  return FormatFields("ENDTRACE", TraceEndSchema(&id, &spans));
 }
 
 Status ParseTraceEndLine(const std::string& line, std::string* id,
                          uint64_t* spans) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 3 || tokens[0] != "ENDTRACE" ||
-      tokens[1].rfind("id=", 0) != 0 ||
-      tokens[2].rfind("spans=", 0) != 0) {
-    return Status::InvalidArgument(
-        "ENDTRACE line wants 'ENDTRACE id=token spans=N'");
-  }
-  const std::string id_value = tokens[1].substr(3);
-  if (!IsValidTraceId(id_value)) {
-    return Status::InvalidArgument("invalid trace id '" + id_value + "'");
-  }
-  *id = id_value;
-  return ParseUint64Field("spans", tokens[2].substr(6), spans);
+  return ParseLine(line, "ENDTRACE", TraceEndSchema(id, spans),
+                   KeyOrder::kCanonical);
 }
 
 bool IsMetricsRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return tokens.size() == 1 && tokens[0] == "METRICS";
+  return FirstTokenIs(line, "METRICS", /*alone=*/true);
 }
 
-std::string FormatMetricsEndLine(uint64_t lines) {
-  return "ENDMETRICS lines=" + std::to_string(lines);
+std::string FormatMetricsEndLine(const uint64_t lines) {
+  return FormatFields("ENDMETRICS", MetricsEndSchema(&lines));
 }
 
 Status ParseMetricsEndLine(const std::string& line, uint64_t* lines) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 2 || tokens[0] != "ENDMETRICS" ||
-      tokens[1].rfind("lines=", 0) != 0) {
-    return Status::InvalidArgument(
-        "ENDMETRICS line wants 'ENDMETRICS lines=N'");
-  }
-  return ParseUint64Field("lines", tokens[1].substr(6), lines);
+  return ParseLine(line, "ENDMETRICS", MetricsEndSchema(lines),
+                   KeyOrder::kCanonical);
 }
 
 bool IsEpochRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "EPOCH";
+  return FirstTokenIs(line, "EPOCH", false);
 }
 
 std::string FormatEpochRequestLine(const std::string& env_name) {
-  if (env_name == "default") return "EPOCH";
-  return "EPOCH env=" + env_name;
+  const std::string defaults = "default";
+  return FormatFields("EPOCH", EpochRequestSchema(&env_name).data(), 1,
+                      EpochRequestSchema(&defaults).data());
 }
 
 Status ParseEpochRequestLine(const std::string& line, std::string* env_name) {
   *env_name = "default";
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "EPOCH" || tokens.size() > 2) {
-    return Status::InvalidArgument("EPOCH request wants 'EPOCH [env=name]'");
-  }
-  if (tokens.size() == 2) {
-    if (tokens[1].rfind("env=", 0) != 0 || !IsEnvName(tokens[1].substr(4))) {
-      return Status::InvalidArgument("EPOCH request wants 'EPOCH [env=name]'");
-    }
-    *env_name = tokens[1].substr(4);
-  }
-  return Status::OK();
+  return ParseLine(line, "EPOCH", EpochRequestSchema(env_name),
+                   KeyOrder::kAny);
 }
 
 std::string FormatEpochResponseLine(const std::string& env_name,
-                                    uint64_t epoch) {
-  return "EPOCH env=" + env_name + " epoch=" + std::to_string(epoch);
+                                    const uint64_t epoch) {
+  return FormatFields("EPOCH", EpochResponseSchema(&env_name, &epoch));
 }
 
 Status ParseEpochResponseLine(const std::string& line, std::string* env_name,
                               uint64_t* epoch) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.size() != 3 || tokens[0] != "EPOCH" ||
-      tokens[1].rfind("env=", 0) != 0 ||
-      tokens[2].rfind("epoch=", 0) != 0) {
-    return Status::InvalidArgument(
-        "EPOCH response wants 'EPOCH env=name epoch=N'");
-  }
-  const std::string name = tokens[1].substr(4);
-  if (!IsEnvName(name)) {
-    return Status::InvalidArgument("invalid env name '" + name + "'");
-  }
-  *env_name = name;
-  return ParseUint64Field("epoch", tokens[2].substr(6), epoch);
+  return ParseLine(line, "EPOCH", EpochResponseSchema(env_name, epoch),
+                   KeyOrder::kCanonical);
 }
 
 bool IsFailpointRequestLine(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  return !tokens.empty() && tokens[0] == "FAILPOINT";
+  return FirstTokenIs(line, "FAILPOINT", false);
 }
 
 std::string FormatFailpointLine(const std::string& site,
@@ -1109,15 +928,17 @@ Status ParseErrLine(const std::string& line, Status* out) {
   const size_t token_begin = 4;
   size_t token_end = trimmed.find(' ', token_begin);
   if (token_end == std::string::npos) token_end = trimmed.size();
-  StatusCode code;
-  if (!ParseStatusCodeWireName(
-          trimmed.substr(token_begin, token_end - token_begin), &code)) {
-    return Status::InvalidArgument("unknown ERR code in '" + trimmed + "'");
+  const std::string name =
+      trimmed.substr(token_begin, token_end - token_begin);
+  for (const ErrCode& err : kErrCodes) {
+    if (name == err.name) {
+      std::string message;
+      if (token_end < trimmed.size()) message = trimmed.substr(token_end + 1);
+      *out = err.make(std::move(message));
+      return Status::OK();
+    }
   }
-  std::string message;
-  if (token_end < trimmed.size()) message = trimmed.substr(token_end + 1);
-  *out = MakeStatus(code, std::move(message));
-  return Status::OK();
+  return Status::InvalidArgument("unknown ERR code in '" + trimmed + "'");
 }
 
 }  // namespace net

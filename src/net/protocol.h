@@ -13,42 +13,8 @@
 // `COMPACT` request against a live environment is answered with `OK` and
 // a single `MUT` acknowledgement carrying the environment's counters
 // right after the mutation. The grammar is line-oriented ASCII so a
-// netcat session is a valid client:
-//
-//   request  = "QUERY" *( SP key "=" value ) LF
-//            | "STATS" LF
-//            | "METRICS" LF
-//            | "INSERT" *( SP mkey "=" value ) LF   ; env? side id x y
-//            | "DELETE" *( SP mkey "=" value ) LF   ; env? side id
-//            | "COMPACT" [ SP "env=" name ] LF
-//            | "EPOCH" [ SP "env=" name ] LF
-//            | "FAILPOINT" SP site SP spec LF       ; test builds only
-//   key      = "env" | "algo" | "order" | "verify" | "seed" | "limit"
-//            | "io_ms" | "deadline_ms" | "trace" | "trace_id"
-//   mkey     = "env" | "side" | "id" | "x" | "y"
-//   ok       = "OK" LF
-//   pair     = "PAIR" SP p_id SP q_id SP x1 SP y1 SP x2 SP y2 LF
-//   end      = "END" SP "pairs=" N SP "candidates=" N SP "results=" N
-//              SP "node_accesses=" N SP "faults=" N SP "cold_faults=" N
-//              SP "warm_faults=" N SP "io_s=" F SP "io_wall_s=" F
-//              SP "cpu_s=" F LF
-//   mut      = "MUT" SP "op=" ( "insert" | "delete" | "compact" )
-//              SP "env=" name SP "epoch=" N SP "generation=" N
-//              SP "delta=" N SP "tombstones=" N SP "compactions=" N LF
-//   shard    = "SHARD" SP idx SP "envs=" N SP "queued=" N SP "inflight=" N
-//              SP "submitted=" N SP "admitted=" N SP "shed=" N
-//              SP "completed=" N SP "cancelled=" N SP "failed=" N LF
-//   env      = "ENV" SP name SP "shard=" N SP "live=" ( "0" | "1" )
-//              SP "generation=" N SP "epoch=" N SP "delta=" N
-//              SP "tombstones=" N SP "compactions=" N SP "base_q=" N
-//              SP "base_p=" N LF
-//   endstats = "ENDSTATS" SP "shards=" N SP "envs=" N LF
-//   epoch    = "EPOCH" SP "env=" name SP "epoch=" N LF
-//   trace    = "TRACE" SP "id=" token SP "depth=" N SP "span=" name
-//              SP "count=" N SP "total_s=" F SP "start_s=" F LF
-//   endtrace = "ENDTRACE" SP "id=" token SP "spans=" N LF
-//   endmetrics = "ENDMETRICS" SP "lines=" N LF
-//   err      = "ERR" SP code-token SP message LF
+// netcat session is a valid client; docs/WIRE_PROTOCOL.md holds the
+// normative ABNF of every line kind.
 //
 // A `QUERY ... trace=1` response appends the query's span tree — one TRACE
 // line per aggregated span, then ENDTRACE — after the END summary; without
@@ -64,10 +30,17 @@
 // stream stays minimal. Coordinates travel as %.17g, which round-trips
 // IEEE doubles exactly.
 //
-// Parsing is strict — empty keys, duplicate keys, unknown keys, malformed
-// or out-of-range numbers and unknown algorithm/order names are rejected
-// with InvalidArgument — and shared: rcj_tool's flag parsing uses the same
-// name tables, so the CLI and the wire accept the same spellings.
+// Every key=value line kind is one field-schema table (key, wire type,
+// struct member) served by one formatter and one strict parser. Writers
+// separate fields with single spaces; readers also accept runs of spaces
+// and tabs and a trailing CR. Key order follows who writes the line:
+// requests (QUERY, INSERT/DELETE/COMPACT, EPOCH) are typed by people and
+// scripts and accept keys in any order; responses parse only in exactly
+// the order the formatter writes. Parsing is otherwise strict — empty,
+// duplicate, unknown and missing required keys, malformed numbers and
+// unknown algorithm/order names are InvalidArgument, out-of-range numbers
+// OutOfRange — and shared: rcj_tool's flag parsing uses the same name
+// tables, so the CLI and the wire accept the same spellings.
 #ifndef RINGJOIN_NET_PROTOCOL_H_
 #define RINGJOIN_NET_PROTOCOL_H_
 

@@ -1,20 +1,20 @@
 // Client side of the ringjoin wire protocol — the consuming counterpart
-// of NetServer. Until now only tests and rcj_tool parsed responses, each
-// with its own ad-hoc loop; ProtocolClient centralizes dialing, request
-// framing, and strict response parsing (OK/PAIR/END/ERR, MUT, STATS) so
-// every in-tree client — `rcj_tool client`, the fleet proxy, benches —
-// speaks through one implementation.
+// of NetServer, and the only client in the tree: `rcj_tool client`, the
+// fleet proxy, the examples and the benches all dial, frame requests and
+// parse responses (OK/PAIR/END/ERR, TRACE, MUT, STATS, METRICS, EPOCH)
+// through it.
 //
 // Two API levels:
 //   * raw lines (SendLine/ReadLine) — what the fleet proxy uses to relay
 //     responses verbatim without re-serializing (byte-identical streams
 //     are the contract the CI smoke `cmp`s);
-//   * typed calls (RunQuery/Mutate/Stats) — what the CLI and benches use.
+//   * typed calls (RunQuery/Mutate/Stats/Metrics/Epoch) — what the CLI,
+//     the examples and the benches use.
 //
-// One client owns one connection. Queries and STATS consume it (the
-// server ends the conversation after END/ENDSTATS); mutations keep it
-// open, so a mutation batch is a loop of Mutate() calls on one client —
-// the PR 7 follow-up that motivated batched wire mutations.
+// One client owns one connection. Queries, STATS, METRICS and EPOCH
+// consume it (the server ends the conversation after the terminator);
+// mutations keep it open, so a mutation batch is a loop of Mutate() calls
+// on one client.
 #ifndef RINGJOIN_NET_PROTOCOL_CLIENT_H_
 #define RINGJOIN_NET_PROTOCOL_CLIENT_H_
 
@@ -30,9 +30,10 @@
 namespace rcj {
 namespace net {
 
-/// Dials `host:port` (numeric or resolvable name) and returns a connected
-/// blocking socket fd. IoError on resolution or connection failure — the
-/// message carries errno text so retry layers can log the real cause.
+/// Dials `host:port` and returns a connected blocking socket fd. `host`
+/// must be a numeric IPv4 address (no name resolution): anything else is
+/// InvalidArgument. IoError on connection failure — the message carries
+/// errno text so retry layers can log the real cause.
 Result<int> DialTcp(const std::string& host, uint16_t port);
 
 /// One protocol conversation with a ringjoin server (or fleet proxy —
@@ -83,11 +84,15 @@ class ProtocolClient {
   /// `on_pair` returning false abandons the stream (the connection is
   /// closed — the server maps the disconnect onto cancellation) and
   /// returns Cancelled. `on_pair` may be null to discard pairs (summary
-  /// still counts them). The connection is consumed either way.
+  /// still counts them). When `request.trace` is set, the span block
+  /// after END is read too: its TRACE rows go to `*trace` (may be null),
+  /// and an ENDTRACE count that disagrees with them is Corruption. The
+  /// connection is consumed either way.
   Status RunQuery(const WireRequest& request,
                   const std::function<bool(const std::string& pair_line)>&
                       on_pair,
-                  WireSummary* summary);
+                  WireSummary* summary,
+                  std::vector<WireTraceSpan>* trace = nullptr);
 
   /// Applies one mutation: sends the INSERT/DELETE/COMPACT line, expects
   /// `OK` + `MUT` and parses the acknowledgement into `*ack` (may be
@@ -105,11 +110,27 @@ class ProtocolClient {
   Status Stats(std::vector<WireShardStats>* shards,
                std::vector<WireEnvStats>* envs);
 
+  /// Scrapes the metrics exposition: sends `METRICS`, expects `OK`, and
+  /// collects every exposition line (comments included) into `*lines`
+  /// (may be null) until ENDMETRICS, whose count must match (Corruption
+  /// otherwise). Consumes the connection.
+  Status Metrics(std::vector<std::string>* lines);
+
+  /// Probes one environment's mutation epoch: sends `EPOCH [env=name]`,
+  /// expects `OK` plus the epoch row, and stores its epoch in `*epoch`.
+  /// A row for another environment is Corruption. Consumes the
+  /// connection.
+  Status Epoch(const std::string& env_name, uint64_t* epoch);
+
  private:
-  /// Reads the initial OK/ERR acknowledgement line shared by every
-  /// conversation. OK() when acknowledged; the transported error for ERR;
-  /// IoError/Corruption otherwise.
-  Status ReadAck(const char* what);
+  /// Sends `line` and reads the OK/ERR acknowledgement every
+  /// conversation opens with. OK() when acknowledged; the transported
+  /// error for ERR; IoError/Corruption otherwise (the connection is then
+  /// closed). `what` names the conversation in error messages.
+  Status Open(const std::string& line, const char* what);
+
+  /// Closes the connection and returns `status` (error-path shorthand).
+  Status CloseWith(Status status);
 
   int fd_ = -1;
   LineReader reader_;

@@ -217,6 +217,59 @@ TEST(ProtocolClientTest, StatsParsesRowsAndValidatesTotals) {
   server.Stop();
 }
 
+TEST(ProtocolClientTest, TracedQueryReturnsTheSpanBlock) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(300, 661);
+  ServerFixture fixture(env.get());
+
+  Result<ProtocolClient> dialed =
+      ProtocolClient::Connect("127.0.0.1", fixture.server->port());
+  ASSERT_TRUE(dialed.ok());
+  WireRequest request;
+  request.spec.limit = 5;
+  request.trace = true;
+  request.trace_id = "pc.1";
+  WireSummary summary;
+  std::vector<WireTraceSpan> spans;
+  const Status status =
+      dialed.value().RunQuery(request, nullptr, &summary, &spans);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(summary.pairs, 5u);
+  ASSERT_FALSE(spans.empty());
+  for (const WireTraceSpan& span : spans) EXPECT_EQ(span.id, "pc.1");
+  EXPECT_FALSE(dialed.value().connected());
+}
+
+TEST(ProtocolClientTest, MetricsAndEpochConsumeTheirConnections) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(200, 671);
+  ServerFixture fixture(env.get());
+  const uint16_t port = fixture.server->port();
+
+  Result<ProtocolClient> scrape = ProtocolClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(scrape.ok());
+  std::vector<std::string> lines;
+  const Status scraped = scrape.value().Metrics(&lines);
+  ASSERT_TRUE(scraped.ok()) << scraped.ToString();
+  EXPECT_FALSE(scrape.value().connected());
+  bool saw_server_counter = false;
+  for (const std::string& line : lines) {
+    saw_server_counter |= line.rfind("rcj_server_", 0) == 0;
+  }
+  EXPECT_TRUE(saw_server_counter);
+
+  Result<ProtocolClient> probe = ProtocolClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(probe.ok());
+  uint64_t epoch = 99;
+  const Status probed = probe.value().Epoch("default", &epoch);
+  ASSERT_TRUE(probed.ok()) << probed.ToString();
+  EXPECT_EQ(epoch, 0u) << "a static environment reports epoch 0";
+  EXPECT_FALSE(probe.value().connected());
+
+  Result<ProtocolClient> unknown = ProtocolClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_EQ(unknown.value().Epoch("nosuch", &epoch).code(),
+            StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace rcj

@@ -12,12 +12,8 @@
 //   rcj_tool client --port 7341 --algo obj --limit 10 --out pairs.csv
 //
 // Pair output CSV columns: p_id, q_id, center_x, center_y, radius.
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -39,7 +35,6 @@
 #include "fleet/fleet_supervisor.h"
 #include "live/live_environment.h"
 #include "live/mutation_log.h"
-#include "net/line_reader.h"
 #include "net/net_server.h"
 #include "net/protocol.h"
 #include "net/protocol_client.h"
@@ -1076,210 +1071,97 @@ int CmdServeNetwork(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-// Connects to host:port, returning the fd, or a negated process exit code
-// (message already printed): -1 = runtime failure (retryable), -2 = usage
-// error (a malformed --host must keep exiting 2, not 1, so wrapper
-// scripts don't retry a permanently broken invocation).
-int ConnectClient(const std::string& host, size_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::fprintf(stderr, "client: socket: %s\n", std::strerror(errno));
-    return -1;
+// Prints why a client conversation failed; returns exit code 1, the
+// runtime failure a wrapper script may retry.
+int ClientFailed(const Status& status) {
+  std::fprintf(stderr, "client: %s\n", status.ToString().c_str());
+  return 1;
+}
+
+// Dials host:port for one client conversation. On failure prints why and
+// sets `*exit_code`: a malformed --host is a usage error (2, so wrapper
+// scripts don't retry a permanently broken invocation), a failed connect
+// a runtime one (1).
+Result<net::ProtocolClient> DialClient(const std::string& host, size_t port,
+                                       int* exit_code) {
+  Result<net::ProtocolClient> dialed =
+      net::ProtocolClient::Connect(host, static_cast<uint16_t>(port));
+  if (!dialed.ok()) {
+    ClientFailed(dialed.status());
+    *exit_code =
+        dialed.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    std::fprintf(stderr, "client: bad host '%s'\n", host.c_str());
-    close(fd);
-    return -2;
-  }
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-              sizeof(addr)) != 0) {
-    std::fprintf(stderr, "client: connect %s:%zu: %s\n", host.c_str(), port,
-                 std::strerror(errno));
-    close(fd);
-    return -1;
-  }
-  return fd;
+  return dialed;
 }
 
 // `client --stats`: one STATS probe, printed as two tables (per-shard,
 // then per-environment). Exit 0 iff the response ends in a well-formed
 // ENDSTATS whose shard and environment counts match the rows received.
-int CmdClientStats(const std::string& host, size_t port) {
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  if (!net::SendAll(fd, "STATS\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
+int CmdClientStats(net::ProtocolClient* client) {
+  std::vector<net::WireShardStats> shards;
+  std::vector<net::WireEnvStats> envs;
+  const Status status = client->Stats(&shards, &envs);
+  if (!status.ok()) return ClientFailed(status);
+  std::printf("%-6s %5s %7s %9s %10s %9s %6s %10s %10s %7s\n", "shard",
+              "envs", "queued", "inflight", "submitted", "admitted", "shed",
+              "completed", "cancelled", "failed");
+  for (const net::WireShardStats& shard : shards) {
+    std::printf("%-6llu %5llu %7llu %9llu %10llu %9llu %6llu %10llu %10llu "
+                "%7llu\n",
+                static_cast<unsigned long long>(shard.shard),
+                static_cast<unsigned long long>(shard.environments),
+                static_cast<unsigned long long>(shard.queued),
+                static_cast<unsigned long long>(shard.inflight),
+                static_cast<unsigned long long>(shard.submitted),
+                static_cast<unsigned long long>(shard.admitted),
+                static_cast<unsigned long long>(shard.shed),
+                static_cast<unsigned long long>(shard.completed),
+                static_cast<unsigned long long>(shard.cancelled),
+                static_cast<unsigned long long>(shard.failed));
   }
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    net::ParseErrLine(line, &err);
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-  } else {
-    std::printf("%-6s %5s %7s %9s %10s %9s %6s %10s %10s %7s\n", "shard",
-                "envs", "queued", "inflight", "submitted", "admitted",
-                "shed", "completed", "cancelled", "failed");
-    uint64_t shard_rows = 0;
-    uint64_t env_rows = 0;
-    while (reader.ReadLine(&line)) {
-      net::WireShardStats shard;
-      net::WireEnvStats env;
-      uint64_t shards = 0;
-      uint64_t envs = 0;
-      Status err = Status::OK();
-      if (net::ParseShardStatsLine(line, &shard).ok()) {
-        ++shard_rows;
-        std::printf("%-6llu %5llu %7llu %9llu %10llu %9llu %6llu %10llu "
-                    "%10llu %7llu\n",
-                    static_cast<unsigned long long>(shard.shard),
-                    static_cast<unsigned long long>(shard.environments),
-                    static_cast<unsigned long long>(shard.queued),
-                    static_cast<unsigned long long>(shard.inflight),
-                    static_cast<unsigned long long>(shard.submitted),
-                    static_cast<unsigned long long>(shard.admitted),
-                    static_cast<unsigned long long>(shard.shed),
-                    static_cast<unsigned long long>(shard.completed),
-                    static_cast<unsigned long long>(shard.cancelled),
-                    static_cast<unsigned long long>(shard.failed));
-      } else if (net::ParseEnvStatsLine(line, &env).ok()) {
-        if (env_rows == 0) {
-          std::printf("%-16s %5s %4s %10s %8s %7s %10s %11s %8s %8s\n",
-                      "env", "shard", "live", "generation", "epoch",
-                      "delta", "tombstones", "compactions", "base_q",
-                      "base_p");
-        }
-        ++env_rows;
-        std::printf("%-16s %5llu %4d %10llu %8llu %7llu %10llu %11llu "
-                    "%8llu %8llu\n",
-                    env.name.c_str(),
-                    static_cast<unsigned long long>(env.shard),
-                    env.live ? 1 : 0,
-                    static_cast<unsigned long long>(env.generation),
-                    static_cast<unsigned long long>(env.epoch),
-                    static_cast<unsigned long long>(env.delta),
-                    static_cast<unsigned long long>(env.tombstones),
-                    static_cast<unsigned long long>(env.compactions),
-                    static_cast<unsigned long long>(env.base_q),
-                    static_cast<unsigned long long>(env.base_p));
-      } else if (net::ParseStatsEndLine(line, &shards, &envs).ok()) {
-        exit_code = (shards == shard_rows && envs == env_rows) ? 0 : 1;
-        if (exit_code != 0) {
-          std::fprintf(stderr,
-                       "client: ENDSTATS reports %llu shards / %llu envs "
-                       "but %llu / %llu rows streamed\n",
-                       static_cast<unsigned long long>(shards),
-                       static_cast<unsigned long long>(envs),
-                       static_cast<unsigned long long>(shard_rows),
-                       static_cast<unsigned long long>(env_rows));
-        }
-        break;
-      } else if (net::ParseErrLine(line, &err).ok()) {
-        std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-        break;
-      } else {
-        std::fprintf(stderr, "client: malformed line '%s'\n", line.c_str());
-        break;
-      }
-    }
+  if (!envs.empty()) {
+    std::printf("%-16s %5s %4s %10s %8s %7s %10s %11s %8s %8s\n", "env",
+                "shard", "live", "generation", "epoch", "delta", "tombstones",
+                "compactions", "base_q", "base_p");
   }
-  close(fd);
-  return exit_code;
+  for (const net::WireEnvStats& env : envs) {
+    std::printf("%-16s %5llu %4d %10llu %8llu %7llu %10llu %11llu %8llu "
+                "%8llu\n",
+                env.name.c_str(), static_cast<unsigned long long>(env.shard),
+                env.live ? 1 : 0,
+                static_cast<unsigned long long>(env.generation),
+                static_cast<unsigned long long>(env.epoch),
+                static_cast<unsigned long long>(env.delta),
+                static_cast<unsigned long long>(env.tombstones),
+                static_cast<unsigned long long>(env.compactions),
+                static_cast<unsigned long long>(env.base_q),
+                static_cast<unsigned long long>(env.base_p));
+  }
+  return 0;
 }
 
 // `client --metrics`: one METRICS scrape, the Prometheus text exposition
 // relayed to stdout verbatim (slow-query entries ride along as `# slowlog`
 // comments). Exit 0 iff the ENDMETRICS line count matches the lines
 // received.
-int CmdClientMetrics(const std::string& host, size_t port) {
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  if (!net::SendAll(fd, "METRICS\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
-  }
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    net::ParseErrLine(line, &err);
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-  } else {
-    uint64_t streamed = 0;
-    uint64_t reported = 0;
-    while (reader.ReadLine(&line)) {
-      if (net::ParseMetricsEndLine(line, &reported).ok()) {
-        exit_code = reported == streamed ? 0 : 1;
-        if (exit_code != 0) {
-          std::fprintf(stderr,
-                       "client: ENDMETRICS reports %llu lines but %llu "
-                       "streamed\n",
-                       static_cast<unsigned long long>(reported),
-                       static_cast<unsigned long long>(streamed));
-        }
-        break;
-      }
-      ++streamed;
-      std::printf("%s\n", line.c_str());
-    }
-    if (exit_code != 0 && reported == 0) {
-      std::fprintf(stderr, "client: stream ended without ENDMETRICS\n");
-    }
-  }
-  close(fd);
-  return exit_code;
+int CmdClientMetrics(net::ProtocolClient* client) {
+  std::vector<std::string> lines;
+  const Status status = client->Metrics(&lines);
+  if (!status.ok()) return ClientFailed(status);
+  for (const std::string& line : lines) std::printf("%s\n", line.c_str());
+  return 0;
 }
 
 // `client --epoch`: one EPOCH probe for --env, printed as "env epoch".
 // The chaos smoke uses it to assert a respawned backend's mutation epoch
 // matches the survivor's before comparing their query streams.
-int CmdClientEpoch(const std::string& host, size_t port,
-                   const std::string& env_name) {
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  if (!net::SendAll(fd, net::FormatEpochRequestLine(env_name) + "\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
-  }
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    net::ParseErrLine(line, &err);
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-  } else if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before the epoch row\n");
-  } else {
-    std::string name;
-    uint64_t epoch = 0;
-    const Status parsed = net::ParseEpochResponseLine(line, &name, &epoch);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "client: %s\n", parsed.ToString().c_str());
-    } else {
-      std::printf("%s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(epoch));
-      exit_code = 0;
-    }
-  }
-  close(fd);
-  return exit_code;
+int CmdClientEpoch(net::ProtocolClient* client, const std::string& env_name) {
+  uint64_t epoch = 0;
+  const Status status = client->Epoch(env_name, &epoch);
+  if (!status.ok()) return ClientFailed(status);
+  std::printf("%s %llu\n", env_name.c_str(),
+              static_cast<unsigned long long>(epoch));
+  return 0;
 }
 
 // `client --mutations FILE`: sends the file's INSERT/DELETE/COMPACT lines
@@ -1298,9 +1180,10 @@ int CmdClientMutations(const std::string& host, size_t port,
   // One connection carries the whole batch: the server acknowledges each
   // op with OK + MUT and keeps the conversation open for the next line,
   // so a mutation file costs one dial instead of one per op.
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-  net::ProtocolClient client(fd);
+  int exit_code = 0;
+  Result<net::ProtocolClient> dialed = DialClient(host, port, &exit_code);
+  if (!dialed.ok()) return exit_code;
+  net::ProtocolClient& client = dialed.value();
   std::string line;
   int lineno = 0;
   uint64_t applied = 0;
@@ -1361,10 +1244,14 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "client: --port (1..65535) is required\n");
     return 2;
   }
-  if (flags.count("stats") != 0) return CmdClientStats(host, port);
-  if (flags.count("metrics") != 0) return CmdClientMetrics(host, port);
-  if (flags.count("epoch") != 0) {
-    return CmdClientEpoch(host, port, FlagOr(flags, "env", "default"));
+  if (flags.count("stats") != 0 || flags.count("metrics") != 0 ||
+      flags.count("epoch") != 0) {
+    int exit_code = 0;
+    Result<net::ProtocolClient> dialed = DialClient(host, port, &exit_code);
+    if (!dialed.ok()) return exit_code;
+    if (flags.count("stats") != 0) return CmdClientStats(&dialed.value());
+    if (flags.count("metrics") != 0) return CmdClientMetrics(&dialed.value());
+    return CmdClientEpoch(&dialed.value(), FlagOr(flags, "env", "default"));
   }
   if (flags.count("mutations") != 0) {
     return CmdClientMutations(host, port, FlagOr(flags, "env", "default"),
@@ -1438,15 +1325,11 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
   // 0; any other ERR still fails, so a smoke can't pass on the wrong
   // error.
   const bool expect_shed = flags.count("expect-shed") != 0;
+  const bool quiet = flags.count("quiet") != 0;
 
-  const int fd = ConnectClient(host, port);
-  if (fd < 0) return -fd;
-
-  if (!net::SendAll(fd, net::FormatRequestLine(request) + "\n")) {
-    std::fprintf(stderr, "client: send: %s\n", std::strerror(errno));
-    close(fd);
-    return 1;
-  }
+  int exit_code = 0;
+  Result<net::ProtocolClient> dialed = DialClient(host, port, &exit_code);
+  if (!dialed.ok()) return exit_code;
 
   const std::string out = FlagOr(flags, "out", "");
   std::FILE* out_file = stdout;
@@ -1454,129 +1337,64 @@ int CmdClient(const std::map<std::string, std::string>& flags) {
     out_file = std::fopen(out.c_str(), "w");
     if (out_file == nullptr) {
       std::fprintf(stderr, "client: cannot open %s\n", out.c_str());
-      close(fd);
       return 1;
     }
   }
-  const bool quiet = flags.count("quiet") != 0;
-
-  const auto shed_like = [](const Status& err) {
-    return err.code() == StatusCode::kOverloaded ||
-           err.code() == StatusCode::kDeadlineExceeded;
-  };
-  net::LineReader reader(fd);
-  std::string line;
-  int exit_code = 1;
-  if (!reader.ReadLine(&line)) {
-    std::fprintf(stderr, "client: connection closed before a response\n");
-  } else if (line != "OK") {
-    Status err = Status::IoError("malformed response '" + line + "'");
-    const bool parsed = net::ParseErrLine(line, &err).ok();
-    std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-    if (expect_shed && parsed && shed_like(err)) {
-      std::fprintf(stderr, "client: shed as expected (--expect-shed)\n");
-      exit_code = 0;
-    }
-  } else {
-    std::fprintf(out_file, "p_id,q_id,center_x,center_y,radius\n");
-    uint64_t streamed = 0;
-    while (reader.ReadLine(&line)) {
-      RcjPair pair;
-      net::WireSummary summary;
-      Status err = Status::OK();
-      if (net::ParsePairLine(line, &pair).ok()) {
-        ++streamed;
+  std::fprintf(out_file, "p_id,q_id,center_x,center_y,radius\n");
+  std::string malformed;
+  net::WireSummary summary;
+  std::vector<net::WireTraceSpan> spans;
+  Status status = dialed.value().RunQuery(
+      request,
+      [&](const std::string& line) {
+        RcjPair pair;
+        if (!net::ParsePairLine(line, &pair).ok()) {
+          malformed = line;
+          return false;
+        }
         std::fprintf(out_file, "%lld,%lld,%.17g,%.17g,%.17g\n",
                      static_cast<long long>(pair.p.id),
-                     static_cast<long long>(pair.q.id),
-                     pair.circle.center.x, pair.circle.center.y,
-                     pair.circle.Radius());
-      } else if (net::ParseEndLine(line, &summary).ok()) {
-        if (!quiet) {
-          std::fprintf(stderr,
-                       "%llu pairs | candidates %llu | node accesses %llu | "
-                       "faults %llu (%llu cold, %llu warm) | I/O %.2fs "
-                       "(wall %.3fs) | CPU %.3fs\n",
-                       static_cast<unsigned long long>(summary.pairs),
-                       static_cast<unsigned long long>(
-                           summary.stats.candidates),
-                       static_cast<unsigned long long>(
-                           summary.stats.node_accesses),
-                       static_cast<unsigned long long>(
-                           summary.stats.page_faults),
-                       static_cast<unsigned long long>(
-                           summary.stats.cold_faults),
-                       static_cast<unsigned long long>(
-                           summary.stats.warm_faults),
-                       summary.stats.io_seconds,
-                       summary.stats.io_wall_seconds,
-                       summary.stats.cpu_seconds);
-        }
-        exit_code = summary.pairs == streamed ? 0 : 1;
-        if (exit_code != 0) {
-          std::fprintf(stderr,
-                       "client: END reports %llu pairs but %llu streamed\n",
-                       static_cast<unsigned long long>(summary.pairs),
-                       static_cast<unsigned long long>(streamed));
-        }
-        if (exit_code == 0 && request.trace) {
-          // The span tree rides after END: TRACE rows (depth-indented
-          // here), closed by ENDTRACE whose count must match.
-          uint64_t rows = 0;
-          uint64_t reported_spans = 0;
-          std::string end_id;
-          bool trace_done = false;
-          while (reader.ReadLine(&line)) {
-            net::WireTraceSpan span;
-            if (net::ParseTraceEndLine(line, &end_id, &reported_spans)
-                    .ok()) {
-              trace_done = true;
-              break;
-            }
-            if (!net::ParseTraceLine(line, &span).ok()) {
-              std::fprintf(stderr, "client: malformed trace line '%s'\n",
-                           line.c_str());
-              break;
-            }
-            if (rows == 0) std::fprintf(stderr, "trace %s:\n", span.id.c_str());
-            ++rows;
-            std::fprintf(stderr,
-                         "%*s%-24s count=%llu total=%.3fms start=+%.3fms\n",
-                         static_cast<int>(2 * (span.depth + 1)), "",
-                         span.span.c_str(),
-                         static_cast<unsigned long long>(span.count),
-                         span.total_s * 1e3, span.start_s * 1e3);
-          }
-          if (!trace_done || reported_spans != rows) {
-            std::fprintf(
-                stderr,
-                "client: trace block ended badly (%llu rows, ENDTRACE %s)\n",
-                static_cast<unsigned long long>(rows),
-                trace_done ? std::to_string(reported_spans).c_str()
-                           : "missing");
-            exit_code = 1;
-          }
-        }
-        break;
-      } else if (net::ParseErrLine(line, &err).ok()) {
-        std::fprintf(stderr, "client: %s\n", err.ToString().c_str());
-        if (expect_shed && shed_like(err)) {
-          std::fprintf(stderr, "client: shed as expected (--expect-shed)\n");
-          exit_code = 0;
-        }
-        break;
-      } else {
-        std::fprintf(stderr, "client: malformed line '%s'\n", line.c_str());
-        break;
-      }
-    }
-    if (exit_code != 0 && line.empty()) {
-      std::fprintf(stderr, "client: stream ended without END\n");
-    }
-  }
+                     static_cast<long long>(pair.q.id), pair.circle.center.x,
+                     pair.circle.center.y, pair.circle.Radius());
+        return true;
+      },
+      &summary, &spans);
   if (out_file != stdout) std::fclose(out_file);
-  close(fd);
-  return exit_code;
+  if (!malformed.empty()) {
+    status = Status::Corruption("malformed line '" + malformed + "'");
+  }
+  if (!status.ok()) {
+    ClientFailed(status);
+    if (expect_shed && (status.code() == StatusCode::kOverloaded ||
+                        status.code() == StatusCode::kDeadlineExceeded)) {
+      std::fprintf(stderr, "client: shed as expected (--expect-shed)\n");
+      return 0;
+    }
+    return 1;
+  }
+  if (!quiet) {
+    std::fprintf(stderr,
+                 "%llu pairs | candidates %llu | node accesses %llu | "
+                 "faults %llu (%llu cold, %llu warm) | I/O %.2fs "
+                 "(wall %.3fs) | CPU %.3fs\n",
+                 static_cast<unsigned long long>(summary.pairs),
+                 static_cast<unsigned long long>(summary.stats.candidates),
+                 static_cast<unsigned long long>(summary.stats.node_accesses),
+                 static_cast<unsigned long long>(summary.stats.page_faults),
+                 static_cast<unsigned long long>(summary.stats.cold_faults),
+                 static_cast<unsigned long long>(summary.stats.warm_faults),
+                 summary.stats.io_seconds, summary.stats.io_wall_seconds,
+                 summary.stats.cpu_seconds);
+  }
+  // The span tree that rode after END, depth-indented.
+  if (!spans.empty()) std::fprintf(stderr, "trace %s:\n", spans[0].id.c_str());
+  for (const net::WireTraceSpan& span : spans) {
+    std::fprintf(stderr, "%*s%-24s count=%llu total=%.3fms start=+%.3fms\n",
+                 static_cast<int>(2 * (span.depth + 1)), "", span.span.c_str(),
+                 static_cast<unsigned long long>(span.count),
+                 span.total_s * 1e3, span.start_s * 1e3);
+  }
+  return 0;
 }
 
 int CmdServe(const std::map<std::string, std::string>& flags) {
