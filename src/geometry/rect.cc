@@ -2,19 +2,6 @@
 
 namespace rcj {
 
-Point Rect::Corner(int i) const {
-  switch (i & 3) {
-    case 0:
-      return lo;
-    case 1:
-      return Point{hi.x, lo.y};
-    case 2:
-      return hi;
-    default:
-      return Point{lo.x, hi.y};
-  }
-}
-
 double Rect::OverlapArea(const Rect& r) const {
   const double w =
       std::min(hi.x, r.hi.x) - std::max(lo.x, r.lo.x);
@@ -23,22 +10,6 @@ double Rect::OverlapArea(const Rect& r) const {
       std::min(hi.y, r.hi.y) - std::max(lo.y, r.lo.y);
   if (h <= 0.0) return 0.0;
   return w * h;
-}
-
-double Rect::MinDist2(const Point& p) const {
-  double dx = 0.0;
-  if (p.x < lo.x) {
-    dx = lo.x - p.x;
-  } else if (p.x > hi.x) {
-    dx = p.x - hi.x;
-  }
-  double dy = 0.0;
-  if (p.y < lo.y) {
-    dy = lo.y - p.y;
-  } else if (p.y > hi.y) {
-    dy = p.y - hi.y;
-  }
-  return dx * dx + dy * dy;
 }
 
 double Rect::MaxDist2(const Point& p) const {

@@ -80,13 +80,38 @@ struct Rect {
 
   /// Corner i in cyclic order: 0=(lo,lo), 1=(hi,lo), 2=(hi,hi), 3=(lo,hi).
   /// Cyclic adjacency matters for the face-inside-circle test.
-  Point Corner(int i) const;
+  Point Corner(int i) const {
+    switch (i & 3) {
+      case 0:
+        return lo;
+      case 1:
+        return Point{hi.x, lo.y};
+      case 2:
+        return hi;
+      default:
+        return Point{lo.x, hi.y};
+    }
+  }
 
   /// Area of the intersection with r (0 if disjoint).
   double OverlapArea(const Rect& r) const;
 
   /// Squared Euclidean mindist from point p to this rectangle (0 if inside).
-  double MinDist2(const Point& p) const;
+  double MinDist2(const Point& p) const {
+    double dx = 0.0;
+    if (p.x < lo.x) {
+      dx = lo.x - p.x;
+    } else if (p.x > hi.x) {
+      dx = p.x - hi.x;
+    }
+    double dy = 0.0;
+    if (p.y < lo.y) {
+      dy = lo.y - p.y;
+    } else if (p.y > hi.y) {
+      dy = p.y - hi.y;
+    }
+    return dx * dx + dy * dy;
+  }
 
   /// Squared Euclidean distance from p to the farthest point of the
   /// rectangle.
