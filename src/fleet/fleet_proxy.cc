@@ -1,15 +1,10 @@
 #include "fleet/fleet_proxy.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -24,10 +19,6 @@
 namespace rcj {
 namespace fleet {
 namespace {
-
-std::string Errno(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
 
 /// Registry mirrors of the proxy's outcome counters, plus the fleet-only
 /// signals: responses actually read from backends (the counter the CI
@@ -108,11 +99,6 @@ obs::Counter* BackendAttemptCounter(size_t backend) {
       std::to_string(backend) + "\"}");
 }
 
-/// Client-bound bytes are batched up to this size before hitting the
-/// socket, amortizing syscalls across a pair stream while keeping the
-/// relay incremental.
-constexpr size_t kFlushThresholdBytes = 8192;
-
 bool IsPairLine(const std::string& line) {
   return line.rfind("PAIR ", 0) == 0;
 }
@@ -141,44 +127,8 @@ Status FleetProxy::Start() {
   if (pool_.size() == 0) {
     return Status::InvalidArgument("fleet proxy needs at least one backend");
   }
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::IoError(Errno("socket"));
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-           sizeof(addr)) != 0) {
-    const Status status = Status::IoError(Errno("bind"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (listen(listen_fd_, options_.backlog) != 0) {
-    const Status status = Status::IoError(Errno("listen"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  &addr_len) != 0) {
-    const Status status = Status::IoError(Errno("getsockname"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  port_ = ntohs(addr.sin_port);
+  RINGJOIN_RETURN_IF_ERROR(listener_.Listen(options_.bind_address,
+                                            options_.port, options_.backlog));
 
   stop_.store(false, std::memory_order_relaxed);
   started_ = true;
@@ -194,8 +144,7 @@ void FleetProxy::Stop() {
   }
   sleep_cv_.notify_all();
   accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
+  listener_.Close();
 
   // Unblock every relay: shutting both sockets down makes any blocking
   // recv/send in the handler return immediately.
@@ -299,34 +248,23 @@ void FleetProxy::ReapFinishedConnections() {
 }
 
 void FleetProxy::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    ReapFinishedConnections();
-    bool saturated;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      saturated = connections_.size() >= options_.max_connections;
-    }
-    if (saturated) {
-      poll(nullptr, 0, 20);
-      continue;
-    }
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    connections_count_.fetch_add(1, std::memory_order_relaxed);
-    ProxyMetrics::Get().connections->Add();
-    auto connection = std::make_shared<Connection>();
-    connection->client_fd = fd;
-    std::lock_guard<std::mutex> lock(mu_);
-    connections_.push_back(connection);
-    threads_.emplace_back(
-        [this, connection] { HandleConnection(connection.get()); });
-  }
+  listener_.AcceptUntil(
+      stop_,
+      [this] {
+        ReapFinishedConnections();
+        std::lock_guard<std::mutex> lock(mu_);
+        return connections_.size() >= options_.max_connections;
+      },
+      [this](int fd) {
+        connections_count_.fetch_add(1, std::memory_order_relaxed);
+        ProxyMetrics::Get().connections->Add();
+        auto connection = std::make_shared<Connection>();
+        connection->client_fd = fd;
+        std::lock_guard<std::mutex> lock(mu_);
+        connections_.push_back(connection);
+        threads_.emplace_back(
+            [this, connection] { HandleConnection(connection.get()); });
+      });
 }
 
 void FleetProxy::SetBackendFd(Connection* connection, int fd) {
@@ -659,7 +597,7 @@ void FleetProxy::HandleQuery(Connection* connection,
         forwarded.push_back(hash);
         ++seen;
         out.append(resp).push_back('\n');
-        if (out.size() >= kFlushThresholdBytes &&
+        if (out.size() >= net::kWireBatchBytes &&
             !FlushToClient(connection, &out)) {
           cancelled_count_.fetch_add(1, std::memory_order_relaxed);
           ProxyMetrics::Get().cancelled->Add();

@@ -53,6 +53,7 @@
 #include "common/status.h"
 #include "fleet/backend_pool.h"
 #include "fleet/retry.h"
+#include "net/tcp.h"
 
 namespace rcj {
 namespace fleet {
@@ -131,7 +132,7 @@ class FleetProxy {
   void Stop();
 
   /// The bound port (resolves ephemeral port 0); valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   size_t backend_count() const { return pool_.size(); }
 
@@ -218,8 +219,7 @@ class FleetProxy {
   FleetProxyOptions options_;
   BackendPool pool_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::TcpListener listener_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
   std::thread accept_thread_;

@@ -1,15 +1,10 @@
 #include "net/net_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -22,10 +17,6 @@
 
 namespace rcj {
 namespace {
-
-std::string Errno(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
 
 /// Registry mirrors of the server's connection-outcome counters, plus the
 /// wire-volume counters only the sinks know (bytes to the kernel, pairs
@@ -86,44 +77,8 @@ NetServer::NetServer(ShardRouter* router, NetServerOptions options)
 NetServer::~NetServer() { Stop(); }
 
 Status NetServer::Start() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::IoError(Errno("socket"));
-  const int one = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-           sizeof(addr)) != 0) {
-    const Status status = Status::IoError(Errno("bind"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (listen(listen_fd_, options_.backlog) != 0) {
-    const Status status = Status::IoError(Errno("listen"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                  &addr_len) != 0) {
-    const Status status = Status::IoError(Errno("getsockname"));
-    close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  port_ = ntohs(addr.sin_port);
+  RINGJOIN_RETURN_IF_ERROR(listener_.Listen(options_.bind_address,
+                                            options_.port, options_.backlog));
 
   stop_.store(false, std::memory_order_relaxed);
   started_ = true;
@@ -171,8 +126,7 @@ void NetServer::Stop() {
   snapshot_cv_.notify_all();
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
   accept_thread_.join();
-  close(listen_fd_);
-  listen_fd_ = -1;
+  listener_.Close();
 
   // Unblock every connection: cancel its query (the engine drops the
   // remaining work at the next delivery) and shut the socket down so reads
@@ -238,40 +192,27 @@ void NetServer::ReapFinishedConnections() {
 }
 
 void NetServer::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    ReapFinishedConnections();
-    bool saturated;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      saturated = connections_.size() >= options_.max_connections;
-    }
-    if (saturated) {
-      // Let peers queue in the kernel backlog until a handler finishes,
-      // instead of growing the thread count without bound.
-      poll(nullptr, 0, 20);
-      continue;
-    }
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
-    const int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    if (options_.send_buffer_bytes > 0) {
-      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
-                 sizeof(options_.send_buffer_bytes));
-    }
-    connections_count_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().connections->Add();
-    auto connection = std::make_shared<Connection>();
-    connection->fd = fd;
-    std::lock_guard<std::mutex> lock(mu_);
-    connections_.push_back(connection);
-    threads_.emplace_back(
-        [this, connection] { HandleConnection(connection.get()); });
-  }
+  listener_.AcceptUntil(
+      stop_,
+      [this] {
+        ReapFinishedConnections();
+        std::lock_guard<std::mutex> lock(mu_);
+        return connections_.size() >= options_.max_connections;
+      },
+      [this](int fd) {
+        if (options_.send_buffer_bytes > 0) {
+          setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
+                     sizeof(options_.send_buffer_bytes));
+        }
+        connections_count_.fetch_add(1, std::memory_order_relaxed);
+        ServerMetrics::Get().connections->Add();
+        auto connection = std::make_shared<Connection>();
+        connection->fd = fd;
+        std::lock_guard<std::mutex> lock(mu_);
+        connections_.push_back(connection);
+        threads_.emplace_back(
+            [this, connection] { HandleConnection(connection.get()); });
+      });
 }
 
 void NetServer::HandleStats(SocketSink* sink) {
@@ -590,10 +531,12 @@ void NetServer::HandleQuery(Connection* connection, SocketSink* sink,
     ticket.Cancel();
   }
 
-  // Babysit the in-flight query: resolve the ticket while watching the
-  // socket's read side. A read *error* (ECONNRESET: the peer vanished
-  // with data in flight) cancels the query — the service stops delivery
-  // at the next pair, so the other connections' joins keep their
+  // Babysit the in-flight query: wait on the ticket in short slices and
+  // look at the socket's read side between them, so a finished query
+  // sends END the moment it resolves while a departed peer is still
+  // noticed within one slice. A read *error* (ECONNRESET: the peer
+  // vanished with data in flight) cancels the query — the service stops
+  // delivery at the next pair, so the other connections' joins keep their
   // workers. A plain EOF is NOT a cancellation: a netcat-style client
   // legitimately half-closes its write side after the request while it
   // keeps reading, so EOF only means "done sending" — a peer that truly
@@ -601,17 +544,11 @@ void NetServer::HandleQuery(Connection* connection, SocketSink* sink,
   Status final;
   bool peer_gone = false;
   bool read_side_open = true;
-  while (!ticket.TryGet(&final)) {
+  while (!ticket.WaitFor(std::chrono::milliseconds(20), &final)) {
     if (!read_side_open) {
       final = ticket.Wait();  // sink death / Stop() resolve the ticket
       break;
     }
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = poll(&pfd, 1, 20);
-    if (ready <= 0) continue;
     char buffer[256];
     const ssize_t got = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
     if (got > 0) continue;  // stray bytes: one request per connection

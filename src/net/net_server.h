@@ -18,10 +18,11 @@
 // The connection lifecycle maps onto the service's cancellation hook in
 // both directions:
 //
-//   * client drop — the connection thread watches the socket while the
-//     ticket is in flight; an EOF or error pulls QueryTicket::Cancel(), so
-//     the engine abandons the query's remaining leaf ranges instead of
-//     joining for a departed caller;
+//   * client drop — the connection thread waits on the ticket and checks
+//     the socket between 20 ms slices; a read error pulls
+//     QueryTicket::Cancel(), so the engine abandons the query's remaining
+//     leaf ranges instead of joining for a departed caller (a finished
+//     query wakes the thread at once, so END never waits out a slice);
 //   * slow consumer — the SocketSink's bounded pending buffer turns a
 //     stalled socket into Emit()->false, the same limit-style cancellation.
 //
@@ -44,6 +45,7 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "net/socket_sink.h"
+#include "net/tcp.h"
 #include "shard/shard_router.h"
 
 namespace rcj {
@@ -124,7 +126,7 @@ class NetServer {
   void Stop();
 
   /// The bound port (resolves ephemeral port 0); valid after Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   Counters counters() const;
 
@@ -183,8 +185,7 @@ class NetServer {
   ShardRouter* router_;
   NetServerOptions options_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::TcpListener listener_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
   std::thread accept_thread_;

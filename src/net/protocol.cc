@@ -2,8 +2,9 @@
 
 #include <array>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -671,12 +672,25 @@ std::string FormatRequestLine(const WireRequest& request) {
 }
 
 std::string FormatPairLine(const RcjPair& pair) {
+  // std::to_chars with chars_format::general at precision 17 is defined as
+  // printf's %.17g, byte for byte, without the format-string parsing and
+  // locale machinery — the formatter runs once per streamed pair.
   char buffer[192];
-  std::snprintf(buffer, sizeof(buffer),
-                "PAIR %" PRId64 " %" PRId64 " %.17g %.17g %.17g %.17g",
-                pair.p.id, pair.q.id, pair.p.pt.x, pair.p.pt.y, pair.q.pt.x,
-                pair.q.pt.y);
-  return buffer;
+  char* const end = buffer + sizeof(buffer);
+  char* cursor = buffer;
+  std::memcpy(cursor, "PAIR", 4);
+  cursor += 4;
+  for (const int64_t id : {pair.p.id, pair.q.id}) {
+    *cursor++ = ' ';
+    cursor = std::to_chars(cursor, end, id).ptr;
+  }
+  for (const double coord :
+       {pair.p.pt.x, pair.p.pt.y, pair.q.pt.x, pair.q.pt.y}) {
+    *cursor++ = ' ';
+    cursor =
+        std::to_chars(cursor, end, coord, std::chars_format::general, 17).ptr;
+  }
+  return std::string(buffer, cursor);
 }
 
 Status ParsePairLine(const std::string& line, RcjPair* out) {

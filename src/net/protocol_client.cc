@@ -1,12 +1,7 @@
 #include "net/protocol_client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/macros.h"
@@ -24,28 +19,6 @@ Status Transported(const std::string& line, const std::string& unexpected) {
 }
 
 }  // namespace
-
-Result<int> DialTcp(const std::string& host, uint16_t port) {
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host '" + host + "'");
-  }
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    close(fd);
-    return Status::IoError("connect " + host + ":" + std::to_string(port) +
-                           ": " + std::strerror(err));
-  }
-  return fd;
-}
 
 ProtocolClient::ProtocolClient(int fd) : fd_(fd), reader_(fd) {}
 

@@ -26,15 +26,10 @@
 #include "common/status.h"
 #include "net/line_reader.h"
 #include "net/protocol.h"
+#include "net/tcp.h"
 
 namespace rcj {
 namespace net {
-
-/// Dials `host:port` and returns a connected blocking socket fd. `host`
-/// must be a numeric IPv4 address (no name resolution): anything else is
-/// InvalidArgument. IoError on connection failure — the message carries
-/// errno text so retry layers can log the real cause.
-Result<int> DialTcp(const std::string& host, uint16_t port);
 
 /// One protocol conversation with a ringjoin server (or fleet proxy —
 /// the proxy is transparent by construction). Move-only; closes its fd on

@@ -7,6 +7,7 @@
 #include <chrono>
 
 #include "net/protocol.h"
+#include "net/tcp.h"
 
 namespace rcj {
 
@@ -23,18 +24,23 @@ void SocketSink::MarkDead() {
 }
 
 bool SocketSink::Emit(const RcjPair& pair) {
-  if (!Append(net::FormatPairLine(pair))) return false;
+  if (dead_) return false;
+  pending_ += net::FormatPairLine(pair);
+  pending_ += '\n';
+  if (!Settle(pending_bytes() >= net::kWireBatchBytes)) return false;
   ++emitted_;
   return true;
 }
 
-bool SocketSink::SendLine(const std::string& line) { return Append(line); }
-
-bool SocketSink::Append(const std::string& line) {
+bool SocketSink::SendLine(const std::string& line) {
   if (dead_) return false;
   pending_ += line;
   pending_ += '\n';
-  TryDrain();
+  return Settle(/*send_now=*/true);
+}
+
+bool SocketSink::Settle(bool send_now) {
+  if (send_now || pending_bytes() > options_.max_pending_bytes) TryDrain();
   if (dead_) return false;
   if (pending_bytes() > options_.max_pending_bytes) {
     // The kernel buffer and our bound are both full: give the consumer one

@@ -2,8 +2,12 @@
 // streaming result channel.
 //
 // Every pair is serialized to one PAIR line and appended to a bounded
-// pending buffer that is drained with non-blocking sends, so a reading
-// client receives results incrementally while the join is still running.
+// pending buffer that is drained with non-blocking sends once
+// net::kWireBatchBytes are queued, so a reading client receives results
+// in batches while the join is still running. A control frame (SendLine)
+// or a Flush sends everything queued before it at once: the rest of the
+// stream leaves together with END, and a reply of several frames (OK +
+// MUT) is one write.
 // Backpressure maps onto the engine's cancellation contract: when the
 // kernel send buffer is full and the pending buffer would exceed its bound
 // (after a short drain grace), or the peer disconnected, Emit() returns
@@ -49,13 +53,14 @@ class SocketSink final : public PairSink {
   explicit SocketSink(int fd, SocketSinkOptions options = {},
                       std::function<void()> on_dead = nullptr);
 
-  /// Serializes and enqueues one PAIR line. Returns false — requesting
-  /// engine-side cancellation — once the peer is gone or the bounded
-  /// pending buffer cannot be drained.
+  /// Serializes and enqueues one PAIR line, sending only once a batch is
+  /// pending. Returns false — requesting engine-side cancellation — once
+  /// the peer is gone or the bounded pending buffer cannot be drained.
   bool Emit(const RcjPair& pair) override;
 
-  /// Enqueues one control frame (OK/END/ERR, without the newline). Returns
-  /// false when the sink is already dead.
+  /// Enqueues one control frame (OK/END/ERR, without the newline) and
+  /// sends it, with every line queued before it, as far as the socket
+  /// takes it now. Returns false once the sink is dead.
   bool SendLine(const std::string& line);
 
   /// Blocks up to `timeout_ms` draining the pending buffer; true when every
@@ -78,7 +83,10 @@ class SocketSink final : public PairSink {
   uint64_t stalls() const { return stalls_; }
 
  private:
-  bool Append(const std::string& line);
+  /// Drains the pending buffer when `send_now` is set or the bound is
+  /// exceeded, then enforces the bound (with its drain grace). False once
+  /// the sink is dead.
+  bool Settle(bool send_now);
   /// Sends as much pending data as the socket accepts right now.
   void TryDrain();
   /// Marks the sink dead, firing on_dead exactly once.

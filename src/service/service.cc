@@ -71,8 +71,15 @@ Status QueryTicket::Wait() {
 }
 
 bool QueryTicket::TryGet(Status* status) {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  if (!state_->done) return false;
+  return WaitFor(std::chrono::milliseconds(0), status);
+}
+
+bool QueryTicket::WaitFor(std::chrono::milliseconds timeout,
+                          Status* status) {
+  std::unique_lock<std::mutex> lock(state_->mu);
+  if (!state_->cv.wait_for(lock, timeout, [this] { return state_->done; })) {
+    return false;
+  }
   if (status != nullptr) *status = state_->status;
   return true;
 }

@@ -63,6 +63,13 @@ class QueryTicket {
   /// `*status` (when non-null) with the final status.
   bool TryGet(Status* status = nullptr);
 
+  /// Blocks until the query finishes or `timeout` passes, whichever comes
+  /// first: returns true iff it finished, filling `*status` (when
+  /// non-null) with the final status. Wakes the moment the ticket
+  /// resolves, so a caller that also has to watch something else (a
+  /// connection's socket) can wait in slices without adding latency.
+  bool WaitFor(std::chrono::milliseconds timeout, Status* status = nullptr);
+
   /// Paper-style statistics of the finished query (the executed portion,
   /// for limit-capped queries). Valid once Wait() returned or TryGet()
   /// returned true.

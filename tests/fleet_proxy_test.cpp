@@ -35,6 +35,7 @@
 #include "net/protocol.h"
 #include "net/protocol_client.h"
 #include "shard/shard_router.h"
+#include "wire_timing.h"
 #include "workload/generator.h"
 
 namespace rcj {
@@ -694,12 +695,13 @@ TEST(FleetProxyTest, MutationsFanOutToTheWholeReplicaWindow) {
 }
 
 /// A replicated live fleet: every backend owns a LiveEnvironment over the
-/// same base data, registered as "default" — the in-process twin of what
-/// `rcj_tool fleet --live` spawns.
+/// same base data (`q_points` Q points, 100 more P points), registered as
+/// "default" — the in-process twin of what `rcj_tool fleet --live` spawns.
 struct LiveFleet {
-  explicit LiveFleet(size_t n) {
-    const std::vector<PointRecord> qset = GenerateUniform(300, 771);
-    const std::vector<PointRecord> pset = GenerateUniform(400, 772);
+  explicit LiveFleet(size_t n, size_t q_points = 300) {
+    const std::vector<PointRecord> qset = GenerateUniform(q_points, 771);
+    const std::vector<PointRecord> pset =
+        GenerateUniform(q_points + 100, 772);
     for (size_t i = 0; i < n; ++i) {
       Result<std::unique_ptr<LiveEnvironment>> live =
           LiveEnvironment::Create(qset, pset, LiveOptions{});
@@ -842,6 +844,37 @@ TEST(FleetProxyTest, MidBatchBackendDeathExcludesOnTheSpotAndStillAcks) {
   EXPECT_EQ(counters.mutations, 2u);
   EXPECT_EQ(counters.relay_exclusions, 1u);
   EXPECT_EQ(counters.catchup_failures, 1u);
+}
+
+TEST(FleetProxyTest, NoRelayedReplyWaitsOnATimer) {
+  // Through the proxy a mutation is a fan-out to both replicas and a
+  // query a relayed stream: neither may add a backend's poll slice or a
+  // Nagle-held MUT on any hop. A tiny environment keeps the join's own
+  // cost far below the timers even in sanitizer builds.
+  LiveFleet fleet(2, testing_util::kTimedEnvPoints);
+  FleetProxyOptions options;
+  options.replicas = 2;
+  FleetProxy proxy(fleet.addresses, options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  const double query_ms = testing_util::MedianTopOneQueryMs(proxy.port());
+  if (testing_util::kQueryLatencyIsMeaningful) {
+    EXPECT_LT(query_ms, testing_util::kTimedMedianBoundMs);
+  }
+  EXPECT_LT(testing_util::MedianMutationMs(proxy.port(), 730000),
+            testing_util::kTimedMedianBoundMs);
+
+  proxy.Stop();
+  const FleetProxy::Counters counters = proxy.counters();
+  EXPECT_EQ(counters.ok,
+            static_cast<uint64_t>(testing_util::kTimedConversations));
+  EXPECT_EQ(counters.mutations,
+            static_cast<uint64_t>(testing_util::kTimedConversations));
+  for (size_t i = 0; i < fleet.servers.size(); ++i) {
+    EXPECT_EQ(fleet.Epoch(i),
+              static_cast<uint64_t>(testing_util::kTimedConversations))
+        << "backend " << i;
+  }
 }
 
 TEST(FleetProxyTest, CatchUpFailsWhenTheRingNoLongerReachesBack) {

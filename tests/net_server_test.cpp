@@ -4,14 +4,15 @@
 // router spreads environments over several — malformed requests must be
 // rejected without taking the server down, a client that disappears
 // mid-stream must cancel its query instead of stalling the service for
-// everyone else, and admission control must shed with `ERR Overloaded`
-// while the STATS ledger reconciles.
+// everyone else, admission control must shed with `ERR Overloaded`
+// while the STATS ledger reconciles, and no reply may wait on a timer.
 #include "net/net_server.h"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -28,7 +29,9 @@
 #include "core/rcj.h"
 #include "live/live_environment.h"
 #include "net/protocol.h"
+#include "net/protocol_client.h"
 #include "shard/shard_router.h"
+#include "wire_timing.h"
 #include "workload/generator.h"
 
 namespace rcj {
@@ -992,6 +995,56 @@ TEST(NetServerTest, IdleConnectionsAreReapedQuietly) {
   EXPECT_EQ(counters.idle_closed, 1u);
   EXPECT_EQ(counters.rejected, 0u)
       << "an idle reap is not a malformed-request rejection";
+}
+
+TEST(NetServerTest, NoReplyWaitsOnATimer) {
+  // END must leave the moment the ticket resolves, and MUT must not be
+  // held behind OK by Nagle's algorithm until the client's delayed ACK.
+  // A tiny environment keeps the join's own cost far below the timers
+  // even in sanitizer builds.
+  const std::vector<PointRecord> qset =
+      GenerateUniform(testing_util::kTimedEnvPoints, 981);
+  const std::vector<PointRecord> pset =
+      GenerateUniform(testing_util::kTimedEnvPoints + 100, 982);
+  Result<std::unique_ptr<LiveEnvironment>> live =
+      LiveEnvironment::Create(qset, pset, LiveOptions{});
+  ASSERT_TRUE(live.ok());
+  ShardRouter router;
+  ASSERT_TRUE(
+      router.RegisterLiveEnvironment("default", live.value().get()).ok());
+  NetServer server(&router);
+  ASSERT_TRUE(server.Start().ok());
+
+  const double query_ms = testing_util::MedianTopOneQueryMs(server.port());
+  if (testing_util::kQueryLatencyIsMeaningful) {
+    EXPECT_LT(query_ms, testing_util::kTimedMedianBoundMs);
+  }
+  EXPECT_LT(testing_util::MedianMutationMs(server.port(), 980000),
+            testing_util::kTimedMedianBoundMs);
+
+  server.Stop();
+  EXPECT_EQ(server.counters().mutations,
+            static_cast<uint64_t>(testing_util::kTimedConversations));
+  ASSERT_TRUE(router.ReleaseEnvironment("default").ok());
+}
+
+TEST(NetServerTest, DialedSocketsSetTcpNoDelay) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(200, 991);
+  RouterFixture fixture({{"default", env.get()}});
+  NetServer server(&fixture.router);
+  ASSERT_TRUE(server.Start().ok());
+  Result<net::ProtocolClient> client =
+      net::ProtocolClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  int nodelay = 0;
+  socklen_t length = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(client.value().fd(), IPPROTO_TCP, TCP_NODELAY,
+                       &nodelay, &length),
+            0)
+      << std::strerror(errno);
+  EXPECT_NE(nodelay, 0);
+  client.value().Close();
+  server.Stop();
 }
 
 }  // namespace

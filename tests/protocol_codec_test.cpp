@@ -5,12 +5,16 @@
 // charset and length limits. The ordering rule is checked on the same
 // kinds: a request line with permuted keys parses to the same record, a
 // response line with permuted keys is rejected, and every kind rejects
-// duplicate, unknown and missing keys.
+// duplicate, unknown and missing keys. The PAIR line, which is formatted
+// without printf, must equal printf's %.17g rendering byte for byte and
+// round-trip every coordinate bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -475,6 +479,81 @@ TEST(ProtocolCodecTest, EveryKindRejectsDuplicateUnknownAndMissingKeys) {
       EXPECT_FALSE(kind.reformat(Join(without), &ignored).ok())
           << "missing " << tokens[i] << " in " << kind.full;
     }
+  }
+}
+
+
+/// The %.17g rendering FormatPairLine must reproduce byte for byte.
+std::string PrintfPairLine(const RcjPair& pair) {
+  char buffer[192];
+  std::snprintf(buffer, sizeof(buffer),
+                "PAIR %" PRId64 " %" PRId64 " %.17g %.17g %.17g %.17g",
+                pair.p.id, pair.q.id, pair.p.pt.x, pair.p.pt.y, pair.q.pt.x,
+                pair.q.pt.y);
+  return buffer;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(ProtocolCodecTest, PairLineIsPrintfSeventeenDigitsAndRoundTrips) {
+  // Edge values ahead of the seeded draws: the golden pair's coordinates,
+  // both zeros, the subnormal range's ends, integers, and ±1e300. Pairs
+  // are taken from a sliding window, so every value lands in every slot.
+  std::vector<double> coords = {123.456789012345678,
+                                -0.0000001,
+                                1e300,
+                                2.0 / 3.0,
+                                0.0,
+                                -0.0,
+                                5e-324,
+                                -5e-324,
+                                2.2250738585072009e-308,
+                                1.0,
+                                -1.0,
+                                42.0,
+                                -7e15,
+                                9007199254740992.0,
+                                -1e300};
+  Draw draw;
+  std::mt19937_64 rng(kSeed + 1);
+  for (int i = 0; i < 4000; ++i) {
+    switch (i % 4) {
+      case 0:
+        coords.push_back(draw.Exact());  // random bit patterns
+        break;
+      case 1: {
+        // Subnormal: zero exponent field, random mantissa and sign.
+        const uint64_t bits = rng() & 0x800FFFFFFFFFFFFFull;
+        double value;
+        std::memcpy(&value, &bits, sizeof(value));
+        coords.push_back(value);
+        break;
+      }
+      case 2:
+        coords.push_back(static_cast<double>(static_cast<int64_t>(rng()) >>
+                                             (rng() % 64)));
+        break;
+      default:
+        coords.push_back(std::ldexp(static_cast<double>(rng() % 1000000),
+                                    static_cast<int>(rng() % 2000) - 1000));
+    }
+  }
+  for (size_t i = 0; i + 4 <= coords.size(); ++i) {
+    const PointRecord p{Point{coords[i], coords[i + 1]}, draw.I64()};
+    const PointRecord q{Point{coords[i + 2], coords[i + 3]}, draw.I64()};
+    const RcjPair pair = RcjPair::Make(p, q);
+    const std::string line = FormatPairLine(pair);
+    ASSERT_EQ(line, PrintfPairLine(pair));
+    RcjPair parsed;
+    ASSERT_TRUE(ParsePairLine(line, &parsed).ok()) << line;
+    EXPECT_EQ(parsed.p.id, pair.p.id) << line;
+    EXPECT_EQ(parsed.q.id, pair.q.id) << line;
+    EXPECT_TRUE(SameBits(parsed.p.pt.x, pair.p.pt.x)) << line;
+    EXPECT_TRUE(SameBits(parsed.p.pt.y, pair.p.pt.y)) << line;
+    EXPECT_TRUE(SameBits(parsed.q.pt.x, pair.q.pt.x)) << line;
+    EXPECT_TRUE(SameBits(parsed.q.pt.y, pair.q.pt.y)) << line;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -246,6 +247,60 @@ TEST(ServiceTest, CancelWhileQueuedSkipsExecution) {
   EXPECT_EQ(cancelled.code(), StatusCode::kCancelled);
   EXPECT_TRUE(pairs.empty()) << "a queued cancel must never run the join";
   EXPECT_EQ(queued.stats().node_accesses, 0u);
+}
+
+TEST(ServiceTest, WaitForTimesOutWhileQueuedAndWakesOnResolution) {
+  std::unique_ptr<RcjEnvironment> env = BuildEnv(900, 373);
+
+  // Gate the first query's sink so the second stays queued behind it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  CallbackSink gate_sink([&](const RcjPair&) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+    return true;
+  });
+
+  ServiceOptions options;
+  options.max_batch_size = 1;  // one query per dispatch round
+  Service service(options);
+
+  QueryTicket gate = service.Submit(QuerySpec::For(env.get()), &gate_sink);
+  std::vector<RcjPair> pairs;
+  VectorSink sink(&pairs);
+  QueryTicket queued = service.Submit(QuerySpec::For(env.get()), &sink);
+
+  Status status = Status::Corruption("untouched");
+  EXPECT_FALSE(queued.WaitFor(std::chrono::milliseconds(30), &status));
+  EXPECT_EQ(status.code(), StatusCode::kCorruption)
+      << "a timed-out wait must not report a status";
+
+  // Resolution wakes a waiter long before its timeout would.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  });
+  ASSERT_TRUE(queued.WaitFor(std::chrono::hours(1), &status));
+  releaser.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(pairs.empty());
+  ASSERT_TRUE(gate.WaitFor(std::chrono::hours(1), &status));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+
+  // A resolved ticket answers at once, even with a zero timeout, and
+  // reports the final (here: cancelled) status.
+  QueryTicket cancelled = service.Submit(QuerySpec::For(env.get()), &sink);
+  cancelled.Cancel();
+  ASSERT_TRUE(cancelled.WaitFor(std::chrono::hours(1), &status));
+  const Status final_status = status;
+  EXPECT_TRUE(cancelled.WaitFor(std::chrono::milliseconds(0), &status));
+  EXPECT_EQ(status.code(), final_status.code());
+  EXPECT_TRUE(cancelled.WaitFor(std::chrono::milliseconds(0)));
 }
 
 TEST(ServiceTest, CancelMidFlightStopsDeliveryLikeALimit) {
