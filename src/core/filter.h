@@ -7,6 +7,18 @@
 // that no previously discovered candidate can prune via Lemma 1 (points) /
 // Lemma 3 (MBRs). The output is a superset of q's true RCJ partners — the
 // verification step removes the rest.
+//
+// Cell test. Each group member also keeps its Lemma-1 cell: T_P's root
+// MBR clipped by every anchor half-plane of the member, with the cell's
+// bounding box grown by a proved rounding margin (kernels.h MemberCell,
+// derivation in filter.cc). A point outside the box is pruned by some
+// anchor (Lemma 1), so the box decides it without the per-anchor tests;
+// a node whose MBR misses the box holds only such points, which prunes
+// nodes that no single anchor covers (stronger than Lemma 3). An item
+// outside the union of the members' boxes is pruned for the whole group
+// with one test: a popped point, a popped node, or a leaf entry or child
+// about to be pushed. Candidate sets and their order are those of the
+// anchor tests alone; only node reads fall.
 #ifndef RINGJOIN_CORE_FILTER_H_
 #define RINGJOIN_CORE_FILTER_H_
 

@@ -12,6 +12,7 @@
 #define RINGJOIN_CORE_KERNELS_H_
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "core/rcj_types.h"
@@ -41,14 +42,82 @@ inline bool Avx2Available() {
 #endif
 }
 
+/// True iff x lies outside `box`. False whenever a bound is NaN or an
+/// infinity on x's side, so an inert box never excludes.
+inline bool Outside(const Rect& box, const Point& x) {
+  return x.x < box.lo.x || x.x > box.hi.x || x.y < box.lo.y ||
+         x.y > box.hi.y;
+}
+/// True iff r misses `box`, with the same NaN rule.
+inline bool Outside(const Rect& box, const Rect& r) {
+  return r.hi.x < box.lo.x || r.lo.x > box.hi.x || r.hi.y < box.lo.y ||
+         r.lo.y > box.hi.y;
+}
+
+/// The Lemma-1 cell of one group member: the part of a domain (T_P's root
+/// MBR) that none of the member's anchor half-planes prunes. It is kept
+/// as a convex polygon in fixed inline storage, plus that polygon's
+/// bounding box grown by a proved margin (see filter.cc), so that
+///   Excludes(x)  =>  some anchor's PrunesPoint(x) holds,
+/// for every point x of the domain. A rectangle of the domain that the
+/// box excludes holds only such points, even when no single anchor
+/// covers it (Lemma 3 tests one anchor at a time).
+///
+/// Until Reset() gives it a domain, and for domains whose coordinates
+/// leave [2^-500, 2^500] in magnitude, the box is the whole plane and
+/// excludes nothing.
+class MemberCell {
+ public:
+  /// Vertex capacity. A clip that would exceed it, or the 2^20th
+  /// effective clip, freezes the polygon instead: a larger polygon is
+  /// still sound.
+  static constexpr int kMaxVertices = 16;
+
+  /// Starts over as `domain`. `extent` must contain the domain and every
+  /// anchor the member will be clipped by; it scales the margin.
+  void Reset(const Rect& domain, const Rect& extent);
+  /// Intersects the polygon with the closed side, containing q = a - n,
+  /// of the line through anchor `a` with normal `n` (the complement of
+  /// Psi-(q, a), as the lanes store it). A zero normal cuts nothing.
+  void Clip(const Point& a, const Point& n);
+
+  /// The grown bounding box; empty once the polygon has vanished.
+  const Rect& box() const { return box_; }
+  /// True iff x lies outside box().
+  bool Excludes(const Point& x) const { return Outside(box_, x); }
+  /// True iff r misses box().
+  bool Excludes(const Rect& r) const { return Outside(box_, r); }
+  int vertices() const { return size_; }
+  /// True once clipping has stopped for this member (overflow or cap).
+  bool frozen() const { return frozen_; }
+
+ private:
+  void UpdateBox();
+
+  double vx_[kMaxVertices] = {};
+  double vy_[kMaxVertices] = {};
+  int size_ = 0;
+  int clips_ = 0;
+  bool frozen_ = true;  // no domain yet
+  double margin_ = 0.0;
+  Rect box_ = Everything();
+
+  static Rect Everything() {
+    const double inf = std::numeric_limits<double>::infinity();
+    return Rect{Point{-inf, -inf}, Point{inf, inf}};
+  }
+};
+
 /// The pruning half-planes (PruneRegion: Lemmas 1, 3 and 5) of one group
-/// member. Lane k of a block holds anchor a and normal n = a - q; unused
-/// lanes of the last block are inert (a = n = 0, so the offset is 0 or NaN
-/// and never > 0).
+/// member, and its cell. Lane k of a block holds anchor a and normal
+/// n = a - q; unused lanes of the last block are inert (a = n = 0, so the
+/// offset is 0 or NaN and never > 0). The cell is clipped by the same
+/// (a, n) the lanes hold.
 template <int W>
 class AnchorLanes {
  public:
-  /// Appends the half-plane Psi-(q, anchor), as PruneRegion(q, anchor).
+  /// Appends the half-plane Psi-(q, anchor), as PruneRegion(q, anchor),
+  /// and clips the cell by it.
   void Add(const Point& q, const Point& anchor) {
     if (size_ % W == 0) blocks_.push_back(Block{});
     Block& block = blocks_.back();
@@ -58,12 +127,27 @@ class AnchorLanes {
     block.nx[lane] = anchor.x - q.x;
     block.ny[lane] = anchor.y - q.y;
     ++size_;
+    cell_.Clip(anchor, Point{block.nx[lane], block.ny[lane]});
+  }
+
+  /// Gives the cell its domain (see MemberCell::Reset) and clips it by
+  /// every anchor added so far.
+  void SetDomain(const Rect& domain, const Rect& extent) {
+    cell_.Reset(domain, extent);
+    for (size_t k = 0; k < size_; ++k) {
+      const Block& block = blocks_[k / W];
+      const size_t lane = k % W;
+      cell_.Clip(Point{block.ax[lane], block.ay[lane]},
+                 Point{block.nx[lane], block.ny[lane]});
+    }
   }
 
   /// True iff some anchor's PruneRegion::PrunesPoint(x) holds.
   bool PrunesPoint(const Point& x) const;
   /// True iff some anchor's PruneRegion::PrunesRect(r) holds.
   bool PrunesRect(const Rect& r) const;
+
+  const MemberCell& cell() const { return cell_; }
 
  private:
   struct alignas(8 * W) Block {
@@ -74,11 +158,12 @@ class AnchorLanes {
   };
   std::vector<Block> blocks_;
   size_t size_ = 0;
+  MemberCell cell_;
 };
 
 /// The live candidate circles at one R-tree branch node, copied once per
 /// node visit. Lane k of a block holds the pair endpoints p and q, the
-/// circle center, and the traversal bound radius2 * (1 + 1e-9); unused
+/// circle center, and the traversal bound Circle::TraversalBound2(); unused
 /// lanes are inert (bound 0 and a zero-diameter circle, so neither test
 /// below ever sets their bit).
 template <int W>
@@ -99,7 +184,7 @@ class CircleLanes {
       block.qy[lane] = c->q.pt.y;
       block.cx[lane] = c->circle.center.x;
       block.cy[lane] = c->circle.center.y;
-      block.bound[lane] = c->circle.radius2 * (1.0 + 1e-9);
+      block.bound[lane] = c->circle.TraversalBound2();
       circles_.push_back(c);
     }
     face_.resize(blocks_.size());

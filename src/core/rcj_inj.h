@@ -56,6 +56,11 @@ Status RunInj(const RTree& tq, const RTree& tp, const InjOptions& options,
 Status LeafPagesInOrder(const RTree& tree, SearchOrder order, uint64_t seed,
                         std::vector<uint64_t>* pages);
 
+/// Reorders a depth-first leaf list as LeafPagesInOrder would: unchanged
+/// for kDepthFirst, a seeded mt19937_64 shuffle for kRandom.
+void ApplySearchOrder(SearchOrder order, uint64_t seed,
+                      std::vector<uint64_t>* pages);
+
 }  // namespace rcj
 
 #endif  // RINGJOIN_CORE_RCJ_INJ_H_

@@ -166,6 +166,7 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildImpl(
   if (!self_join) {
     RINGJOIN_RETURN_IF_ERROR(env->tp_->SaveHeader());
   }
+  RINGJOIN_RETURN_IF_ERROR(env->tq_->CollectLeafPages(&env->tq_leaves_));
 
   RINGJOIN_RETURN_IF_ERROR(env->SetBufferFraction(options.buffer_fraction,
                                                   options.min_buffer_pages));
@@ -204,6 +205,7 @@ Result<std::unique_ptr<RcjEnvironment>> RcjEnvironment::BuildExternal(
 
   RINGJOIN_RETURN_IF_ERROR(env->tq_->SaveHeader());
   RINGJOIN_RETURN_IF_ERROR(env->tp_->SaveHeader());
+  RINGJOIN_RETURN_IF_ERROR(env->tq_->CollectLeafPages(&env->tq_leaves_));
   RINGJOIN_RETURN_IF_ERROR(env->SetBufferFraction(options.buffer_fraction,
                                                   options.min_buffer_pages));
   // Read-only from here on; arm the pread backend's O_DIRECT path.

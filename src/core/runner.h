@@ -135,6 +135,10 @@ class RcjEnvironment {
 
   const RTree& tq() const { return *tq_; }
   const RTree& tp() const { return *tp_; }
+  /// T_Q's leaf pages in depth-first order, collected once at Build time
+  /// and read-only afterwards, so planning a query never reads a page
+  /// through the environment's own buffer pool.
+  const std::vector<uint64_t>& tq_leaf_pages() const { return tq_leaves_; }
   BufferManager& buffer() { return *buffer_; }
   bool self_join() const { return self_join_; }
 
@@ -194,6 +198,7 @@ class RcjEnvironment {
   std::unique_ptr<BufferManager> buffer_;
   std::unique_ptr<RTree> tq_;
   std::unique_ptr<RTree> tp_;  // null in self-join mode (alias tq_)
+  std::vector<uint64_t> tq_leaves_;  // depth-first, fixed at Build time
   std::vector<PointRecord> qset_;
   std::vector<PointRecord> pset_;
   IoCostModel cost_model_;

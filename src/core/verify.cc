@@ -127,9 +127,10 @@ Status VerifyRec(VerifyContext<W>* ctx, uint64_t page_no,
   const bool face_rule = ctx->exclude == nullptr;
   for (const BranchEntry& e : node.value().children) {
     // Conservative traversal bound (CircleLanes::reach). The center/radius
-    // form can disagree with the exact diametral predicate by ~1 ulp near
-    // the boundary, so the radius is inflated slightly: visiting one extra
-    // subtree is cheap, missing a witness is a correctness bug.
+    // form can disagree with the exact diametral predicate near the
+    // boundary, by ~1 ulp of the radius and by the rounding of the center,
+    // so the bound is inflated for both (Circle::TraversalBound2): visiting
+    // one extra subtree is cheap, missing a witness is a correctness bug.
     lanes.Test(e.mbr, face_rule);
     descend.clear();
     for (size_t b = 0; b < lanes.blocks(); ++b) {

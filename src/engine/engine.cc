@@ -16,9 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Cached leaf orders the engine keeps across batches.
-constexpr size_t kPlanCacheCap = 32;
-
 size_t WorkerPoolPages(const RcjEnvironment& env,
                        const EngineOptions& options) {
   const auto scaled = static_cast<size_t>(
@@ -62,9 +59,12 @@ struct QueryEmitState {
   std::atomic<bool> cancelled{false};
 
   // ---- chunk scheduling (work stealing) ----
-  /// The query's full T_Q leaf order (engine plan cache), or null when the
-  /// query runs as one unsplit task (BRUTE, small tree, intra off).
+  /// The query's full T_Q leaf order (the environment's, or
+  /// `shuffled_leaves`), or null when the query runs as one unsplit task
+  /// (BRUTE, small tree, intra off).
   const std::vector<uint64_t>* leaves = nullptr;
+  /// A random-order query's own shuffled copy of the environment's order.
+  std::vector<uint64_t> shuffled_leaves;
   size_t chunk_size = 0;
   size_t num_chunks = 1;
   /// Shared claim cursor: fetch_add hands each task the next unclaimed
@@ -370,13 +370,6 @@ void Engine::InvalidateCachedViews(const RcjEnvironment* env) {
   for (const std::unique_ptr<WorkerContext>& context : contexts_) {
     context->Invalidate(env);
   }
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    if (env == nullptr || it->env == env) {
-      it = plan_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 WorkerContextStats Engine::context_stats() const {
@@ -391,55 +384,14 @@ WorkerContextStats Engine::context_stats() const {
   return total;
 }
 
-Status Engine::LeavesFor(const QuerySpec& spec, uint64_t batch_id,
-                         const std::vector<uint64_t>** leaves) {
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end(); ++it) {
-    if (it->env != spec.env || it->order != spec.order ||
-        it->seed != spec.random_seed) {
-      continue;
-    }
-    if (it->generation == spec.env->generation()) {
-      it->last_used_batch = batch_id;
-      plan_cache_.splice(plan_cache_.begin(), plan_cache_, it);
-      *leaves = &plan_cache_.front().leaves;
-      return Status::OK();
-    }
-    // Same key, older generation: the environment was rebuilt — the plan
-    // can never be valid again.
-    plan_cache_.erase(it);
-    break;
-  }
-
-  PlanEntry entry;
-  entry.env = spec.env;
-  entry.generation = spec.env->generation();
-  entry.order = spec.order;
-  entry.seed = spec.random_seed;
-  entry.last_used_batch = batch_id;
-  RINGJOIN_RETURN_IF_ERROR(LeafPagesInOrder(
-      spec.env->tq(), spec.order, spec.random_seed, &entry.leaves));
-  plan_cache_.push_front(std::move(entry));
-
-  // Evict past the cap, oldest first — but never an entry this batch
-  // already handed out (tasks hold pointers into its leaves).
-  auto it = plan_cache_.end();
-  while (plan_cache_.size() > kPlanCacheCap && it != plan_cache_.begin()) {
-    --it;
-    if (it->last_used_batch != batch_id) it = plan_cache_.erase(it);
-  }
-  *leaves = &plan_cache_.front().leaves;
-  return Status::OK();
-}
-
 std::vector<EngineQueryResult> Engine::RunBatch(
     const std::vector<EngineQuery>& queries) {
   std::vector<EngineQueryResult> results(queries.size());
-  const uint64_t batch_id = ++batch_counter_;
 
   // ---- Plan: expand each query into one or more claimant tasks over a
-  // chunked leaf order. Leaf orders come from the engine's persistent plan
-  // cache, so batches repeating the same environment skip the serial
-  // planning traversal entirely. ---------------------------------------
+  // chunked leaf order. Leaf orders come from the environment, which
+  // collected T_Q's depth-first order at Build time, so planning reads no
+  // page. -------------------------------------------------------------
   std::vector<EngineTask> tasks;
   std::vector<std::vector<size_t>> tasks_of_query(queries.size());
   // Per-query streaming state and engine-owned collection sinks. Both are
@@ -456,6 +408,9 @@ std::vector<EngineQueryResult> Engine::RunBatch(
       continue;
     }
 
+    emit_states[qi] = std::make_unique<QueryEmitState>();
+    QueryEmitState* emit = emit_states[qi].get();
+
     // The depth-first (or seeded-shuffle) leaf order is resolved once on
     // the caller thread, then chunked, so flushing chunk outputs in order
     // equals the serial run.
@@ -463,16 +418,15 @@ std::vector<EngineQueryResult> Engine::RunBatch(
     if (options_.intra_query_parallelism &&
         query.spec.algorithm != RcjAlgorithm::kBrute &&
         pool_.num_threads() > 1) {
-      const Status status = LeavesFor(query.spec, batch_id, &leaves);
-      if (!status.ok()) {
-        results[qi].status = status;
-        continue;
+      leaves = &query.spec.env->tq_leaf_pages();
+      if (query.spec.order != SearchOrder::kDepthFirst) {
+        emit->shuffled_leaves = *leaves;
+        ApplySearchOrder(query.spec.order, query.spec.random_seed,
+                         &emit->shuffled_leaves);
+        leaves = &emit->shuffled_leaves;
       }
       if (leaves->size() < options_.min_leaves_to_split) leaves = nullptr;
     }
-
-    emit_states[qi] = std::make_unique<QueryEmitState>();
-    QueryEmitState* emit = emit_states[qi].get();
     if (query.sink != nullptr) {
       emit->sink = query.sink;
     } else {

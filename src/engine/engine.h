@@ -50,7 +50,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -159,8 +158,8 @@ class Engine {
   Result<RcjRunResult> Run(const QuerySpec& spec);
   Status Run(const QuerySpec& spec, PairSink* sink, JoinStats* stats);
 
-  /// Drops every cached worker view and cached leaf-order plan matching
-  /// `env` (all of them when null). Call before destroying or rebuilding
+  /// Drops every cached worker view matching `env` (all of them when
+  /// null). Call before destroying or rebuilding
   /// an environment the engine has executed against, so no worker holds
   /// views over freed page stores. Must not overlap a RunBatch call — the
   /// same external serialization the batch API already requires (rcj::
@@ -172,29 +171,11 @@ class Engine {
   WorkerContextStats context_stats() const;
 
  private:
-  /// Cached T_Q leaf orders keyed by (env, generation, order, seed):
-  /// repeated batches over long-lived environments skip the serial
-  /// planning traversal entirely. LRU-capped; entries referenced by the
-  /// current batch are never evicted (tasks hold pointers into them).
-  struct PlanEntry {
-    const RcjEnvironment* env = nullptr;
-    uint64_t generation = 0;
-    SearchOrder order = SearchOrder::kDepthFirst;
-    uint64_t seed = 0;
-    uint64_t last_used_batch = 0;
-    std::vector<uint64_t> leaves;
-  };
-
-  Status LeavesFor(const QuerySpec& spec, uint64_t batch_id,
-                   const std::vector<uint64_t>** leaves);
-
   EngineOptions options_;
   /// Declared before pool_ so workers are joined (pool_ destroyed) before
   /// their contexts go away.
   std::vector<std::unique_ptr<WorkerContext>> contexts_;
   ThreadPool pool_;
-  std::list<PlanEntry> plan_cache_;  // front = most recently used
-  uint64_t batch_counter_ = 0;
 };
 
 }  // namespace rcj

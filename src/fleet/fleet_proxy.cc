@@ -1006,25 +1006,38 @@ void FleetProxy::HandleMutations(Connection* connection, std::string line,
   const net::RequestReadOptions read_options{options_.max_request_bytes,
                                              options_.request_timeout_ms};
   std::vector<std::unique_ptr<net::ProtocolClient>> held(pool_.size());
+  // Parks the still-healthy conversations for the next batch. It runs
+  // before the reply that ends the batch, so a client that redials the
+  // moment it reads that reply finds them in the pool.
+  const auto park = [this, &held] {
+    for (size_t index = 0; index < held.size(); ++index) {
+      if (held[index]) pool_.Release(index, std::move(*held[index]));
+    }
+  };
   for (;;) {
     std::string reply;
-    const bool applied = RelayMutation(connection, line, &held, &reply);
-    const bool delivered = FlushToClient(connection, &reply);
-    if (!applied || !delivered) break;
+    if (!RelayMutation(connection, line, &held, &reply)) {
+      park();
+      FlushToClient(connection, &reply);
+      return;
+    }
+    if (!FlushToClient(connection, &reply)) break;
     bool clean_eof = false;
     const Status status =
         net::ReadRequestLine(connection->client_fd, read_options, &stop_,
                              carry, &line, &clean_eof);
     if (!status.ok()) {
+      park();
       if (!clean_eof && !line.empty()) {
         rejected_count_.fetch_add(1, std::memory_order_relaxed);
         ProxyMetrics::Get().rejected->Add();
         std::string err = net::FormatErrLine(status) + "\n";
         FlushToClient(connection, &err);
       }
-      break;
+      return;
     }
     if (!net::IsMutationRequestLine(line)) {
+      park();
       rejected_count_.fetch_add(1, std::memory_order_relaxed);
       ProxyMetrics::Get().rejected->Add();
       std::string err =
@@ -1033,13 +1046,10 @@ void FleetProxy::HandleMutations(Connection* connection, std::string line,
               "connection")) +
           "\n";
       FlushToClient(connection, &err);
-      break;
+      return;
     }
   }
-  // Park the still-healthy conversations for the next batch.
-  for (size_t index = 0; index < held.size(); ++index) {
-    if (held[index]) pool_.Release(index, std::move(*held[index]));
-  }
+  park();
 }
 
 }  // namespace fleet

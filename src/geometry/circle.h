@@ -32,6 +32,29 @@ struct Circle {
   double Radius() const { return std::sqrt(radius2); }
   double Diameter() const { return 2.0 * Radius(); }
 
+  /// Conservative bound on a rectangle's MinDist2(center) for descending
+  /// into it when the disk is the diametral disk of two points: any point
+  /// the exact predicate puts strictly inside lies within this bound. The
+  /// squared radius gets a relative 1e-9 (rounding of radius2 and of
+  /// MinDist2). Center rounding is absolute: Midpoint() rounds a.x + b.x
+  /// once, so each center coordinate is off by up to 2^-52 |c|, and the
+  /// radius also grows by delta = 2^-51 (|c.x| + |c.y|), twice that. The
+  /// term matters only for circles whose radius is below ~2e9 delta (for
+  /// coordinates near 1e4, a radius below ~0.02); for every other circle
+  /// the bound is exactly radius2 * (1 + 1e-9). A zero radius (p == q)
+  /// keeps bound 0: no point is strictly inside, since the diametral
+  /// predicate is then a sum of squares.
+  double TraversalBound2() const {
+    const double inflated = radius2 * (1.0 + 1e-9);
+    const double delta =
+        0x1p-51 * (std::fabs(center.x) + std::fabs(center.y));
+    if (radius2 == 0.0 || radius2 >= 0x1p64 * delta * delta) {
+      return inflated;
+    }
+    const double reach = std::sqrt(radius2) + delta;
+    return std::fmax(inflated, reach * reach * (1.0 + 0x1p-40));
+  }
+
   /// True iff p lies strictly inside the circle (open disk).
   bool ContainsStrict(const Point& p) const {
     return Dist2(p, center) < radius2;

@@ -30,7 +30,7 @@ Status QuadVerifyRec(const QuadTree& tree, uint64_t page, const Rect& region,
   // Conservative traversal bound (same inflation rationale as the R-tree
   // verifier).
   if (region.MinDist2(candidate.circle.center) >=
-      candidate.circle.radius2 * (1.0 + 1e-9)) {
+      candidate.circle.TraversalBound2()) {
     return Status::OK();
   }
   Result<QuadNode> node = tree.ReadNode(page);

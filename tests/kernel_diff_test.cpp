@@ -8,12 +8,16 @@
 // and cocircular points, points exactly on an anchor's line, signed zeros,
 // 1e-300 and 1e300 magnitudes) plus hand-built cases whose decision flips
 // if a multiply and an add are fused. A failure names its corpus and seed.
+// The cell tests check the filter's box shortcut against the lanes: a
+// member's cell box may exclude only what its anchors prune.
 #include "core/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -304,7 +308,7 @@ VerifyDecisions ReferenceCircles(const std::vector<CandidateCircle>& circles,
     for (const CandidateCircle& c : circles) {
       if (!c.alive) continue;
       const bool face = DiametralContainsRectFace(c.p.pt, c.q.pt, r);
-      const double bound = c.circle.radius2 * (1.0 + 1e-9);
+      const double bound = c.circle.TraversalBound2();
       out.face.push_back(face_rule && face);
       out.reach.push_back(r.MinDist2(c.circle.center) < bound);
     }
@@ -420,6 +424,203 @@ void ExpectUnfusedAnswers() {
   }
 }
 
+// ---- cell pruning -----------------------------------------------------------
+
+// The filter prunes an item for a member without running its lanes when
+// the member's cell box excludes it, so the box must never claim more than
+// the lanes would: every domain point the box excludes is pruned by some
+// anchor. A rectangle the box excludes need not lie in one anchor's
+// half-plane (that is why node pruning gets stronger), but every point of
+// it must be pruned; corners, center and seeded interior points stand in.
+struct CellCase {
+  std::string label;
+  Point q;
+  std::vector<Point> anchors;
+  std::vector<Point> pts;  // the domain is their bounding box
+  bool inert = false;      // the box must never exclude anything
+};
+
+Rect BoundsOf(const std::vector<Point>& pts) {
+  Rect box = Rect::Empty();
+  for (const Point& p : pts) box.Expand(p);
+  return box;
+}
+
+struct CellTally {
+  size_t points_excluded = 0;
+  size_t rects_excluded = 0;
+};
+
+// Checks one member after every anchor. The domain arrives after the
+// first `seeded` anchors (symmetric seeds precede the root read).
+template <int W>
+void ExpectCellSound(const CellCase& c, size_t seeded, CellTally* tally) {
+  const Rect domain = BoundsOf(c.pts);
+  Rect extent = domain;
+  extent.Expand(c.q);
+  for (const Point& a : c.anchors) extent.Expand(a);
+  const std::vector<Rect> rects = Rects(c.pts);
+  SplitMix rng(c.anchors.size() * 131 + seeded);
+
+  AnchorLanes<W> lanes;
+  for (size_t k = 0; k < c.anchors.size(); ++k) {
+    lanes.Add(c.q, c.anchors[k]);
+    if (k + 1 < seeded) continue;
+    if (k + 1 == seeded) lanes.SetDomain(domain, extent);
+    const kernel::MemberCell& cell = lanes.cell();
+    for (const Point& x : c.pts) {
+      if (!cell.Excludes(x)) continue;
+      ASSERT_FALSE(c.inert) << "inert box excluded a point after anchor "
+                            << k;
+      ASSERT_TRUE(lanes.PrunesPoint(x))
+          << "box excludes (" << x.x << ", " << x.y << ") after anchor " << k;
+      ++tally->points_excluded;
+    }
+    for (const Rect& r : rects) {
+      if (!cell.Excludes(r)) continue;
+      ASSERT_FALSE(c.inert) << "inert box excluded a rect after anchor " << k;
+      std::vector<Point> samples = {r.lo, r.hi, Point{r.lo.x, r.hi.y},
+                                    Point{r.hi.x, r.lo.y}, r.Center()};
+      for (int i = 0; i < 4; ++i) {
+        samples.push_back(Point{rng.NextDouble(r.lo.x, r.hi.x),
+                                rng.NextDouble(r.lo.y, r.hi.y)});
+      }
+      for (const Point& x : samples) {
+        ASSERT_TRUE(lanes.PrunesPoint(x))
+            << "box excludes a rect holding (" << x.x << ", " << x.y
+            << ") after anchor " << k;
+      }
+      ++tally->rects_excluded;
+    }
+  }
+}
+
+std::vector<CellCase> CellCases() {
+  std::vector<CellCase> cases;
+  // The seeded corpora of the filter cases, anchors == q included (a P
+  // point on top of q has n = 0 and must cut nothing).
+  for (const FilterCase& f : FilterCases()) {
+    CellCase c;
+    c.label = f.label;
+    c.q = f.q;
+    c.anchors = f.anchors;
+    c.anchors.push_back(f.q);
+    c.pts = f.pts;
+    c.inert = f.label.rfind("tiny", 0) == 0 || f.label.rfind("huge", 0) == 0;
+    cases.push_back(std::move(c));
+  }
+  // Anchors within ~1e-12 of q: a cell far thinner than the margin.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    CellCase c;
+    c.label = "near-q anchors seed " + std::to_string(seed);
+    SplitMix rng(seed * 4099);
+    c.q = Point{1.0, 1.0};
+    for (int k = 0; k < 9; ++k) {
+      c.anchors.push_back(Point{c.q.x + rng.NextDouble(-1e-12, 1e-12),
+                                c.q.y + rng.NextDouble(-1e-12, 1e-12)});
+    }
+    c.anchors.push_back(Point{2.0, 1.5});
+    for (int k = 0; k < 40; ++k) c.pts.push_back(rng.NextPoint(0.0, 2.0));
+    for (int k = -3; k <= 3; ++k) {
+      c.pts.push_back(Point{c.q.x + k * 1e-12, c.q.y - k * 1e-12});
+      c.pts.push_back(Point{c.q.x + k * 1e-8, c.q.y + k * 1e-7});
+    }
+    cases.push_back(std::move(c));
+  }
+  // Points a few ulps either side of each anchor's line, where the
+  // lanes' offset is within rounding of zero.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    CellCase c;
+    c.label = "epsilon offsets seed " + std::to_string(seed);
+    SplitMix rng(seed * 7411);
+    c.q = rng.NextPoint(0.0, 1.0);
+    for (int k = 0; k < 8; ++k) c.anchors.push_back(rng.NextPoint(0.0, 1.0));
+    for (const Point& a : c.anchors) {
+      const double nx = a.x - c.q.x;
+      const double ny = a.y - c.q.y;
+      for (int ulps = -4; ulps <= 4; ++ulps) {
+        const double e = ulps * std::numeric_limits<double>::epsilon();
+        const double t = rng.NextDouble(-0.5, 0.5);
+        c.pts.push_back(Point{a.x - t * ny + e * nx, a.y + t * nx + e * ny});
+      }
+    }
+    for (int k = 0; k < 20; ++k) c.pts.push_back(rng.NextPoint(-0.5, 1.5));
+    cases.push_back(std::move(c));
+  }
+  // 24 anchors around q cut a 24-gon, past the vertex capacity.
+  {
+    CellCase c;
+    c.label = "vertex cap";
+    c.q = Point{0.0, 0.0};
+    for (int k = 0; k < 24; ++k) {
+      const double angle = 2.0 * std::acos(-1.0) * k / 24.0;
+      c.anchors.push_back(Point{std::cos(angle), std::sin(angle)});
+    }
+    SplitMix rng(17);
+    for (int k = 0; k < 80; ++k) c.pts.push_back(rng.NextPoint(-2.0, 2.0));
+    c.pts.push_back(Point{-2.0, -2.0});
+    c.pts.push_back(Point{2.0, 2.0});
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+template <int W>
+void ExpectCellBoxesSound() {
+  CellTally tally;
+  CellTally random_tally;
+  for (const CellCase& c : CellCases()) {
+    for (const size_t seeded : {size_t{1}, c.anchors.size() / 2}) {
+      SCOPED_TRACE(c.label + ", domain after anchor " +
+                   std::to_string(seeded));
+      CellTally* t = c.label.rfind("random", 0) == 0 ? &random_tally : &tally;
+      ExpectCellSound<W>(c, std::max<size_t>(1, seeded), t);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // The check is not vacuous: the boxes do exclude points and rectangles.
+  EXPECT_GT(random_tally.points_excluded, 0u);
+  EXPECT_GT(random_tally.rects_excluded, 0u);
+  EXPECT_GT(tally.points_excluded, 0u);
+}
+
+// The last case of CellCases() overflows the vertex storage: clipping
+// stops, and the frozen polygon is still a sound superset.
+TEST(KernelDiffTest, CellFreezesPastVertexCapacity) {
+  const CellCase c = CellCases().back();
+  ASSERT_EQ(c.label, "vertex cap");
+  AnchorLanes<1> lanes;
+  lanes.SetDomain(BoundsOf(c.pts), BoundsOf(c.pts));
+  for (const Point& a : c.anchors) lanes.Add(c.q, a);
+  EXPECT_TRUE(lanes.cell().frozen());
+  EXPECT_LE(lanes.cell().vertices(), kernel::MemberCell::kMaxVertices);
+}
+
+// Both widths clip by the same (a, n), so they keep the same box.
+TEST(KernelDiffTest, CellBoxIsWidthIndependent) {
+  if (!kernel::Avx2Available()) GTEST_SKIP() << "no AVX2 kernels here";
+#if RINGJOIN_AVX2_KERNELS
+  for (const CellCase& c : CellCases()) {
+    SCOPED_TRACE(c.label);
+    AnchorLanes<1> scalar;
+    AnchorLanes<4> wide;
+    const Rect domain = BoundsOf(c.pts);
+    Rect extent = domain;
+    extent.Expand(c.q);
+    for (const Point& a : c.anchors) extent.Expand(a);
+    scalar.SetDomain(domain, extent);
+    wide.SetDomain(domain, extent);
+    for (const Point& a : c.anchors) {
+      scalar.Add(c.q, a);
+      wide.Add(c.q, a);
+    }
+    const Rect& s = scalar.cell().box();
+    const Rect& w = wide.cell().box();
+    EXPECT_TRUE(std::memcmp(&s, &w, sizeof(Rect)) == 0);
+  }
+#endif
+}
+
 // ---- tests ------------------------------------------------------------------
 
 TEST(KernelDiffTest, ScalarFilterMatchesPruneRegion) {
@@ -443,6 +644,17 @@ TEST(KernelDiffTest, Avx2VerifyMatchesScalar) {
   if (!kernel::Avx2Available()) GTEST_SKIP() << "no AVX2 kernels here";
 #if RINGJOIN_AVX2_KERNELS
   ExpectVerifyMatchesReference<4>();
+#endif
+}
+
+TEST(KernelDiffTest, ScalarCellBoxImpliesAnchorPrune) {
+  ExpectCellBoxesSound<1>();
+}
+
+TEST(KernelDiffTest, Avx2CellBoxImpliesAnchorPrune) {
+  if (!kernel::Avx2Available()) GTEST_SKIP() << "no AVX2 kernels here";
+#if RINGJOIN_AVX2_KERNELS
+  ExpectCellBoxesSound<4>();
 #endif
 }
 

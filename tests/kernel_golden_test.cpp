@@ -4,7 +4,10 @@
 // node accesses, page faults). The values were recorded from the scalar
 // kernels; any kernel rewrite (lane width, data layout, dispatch) must
 // reproduce them exactly, so a change in rounding or evaluation order that
-// flips one predicate shows up here as a different digest or count.
+// flips one predicate shows up here as a different digest or count. The
+// node access and page fault pins were re-recorded (downward only, every
+// digest, pair count and candidate count kept) when the filter began to
+// prune by each member's cell box.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -104,11 +107,11 @@ TEST(KernelGoldenTest, Uniform) {
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   RcjEnvironment* e = env.value().get();
   CheckStatic(e, RcjAlgorithm::kInj,
-              {15425510080825414157ull, 39855, 87544, 365714, 12218});
+              {15425510080825414157ull, 39855, 87544, 323709, 5157});
   CheckStatic(e, RcjAlgorithm::kBij,
-              {2714119909818959821ull, 39855, 156725, 28534, 15315});
+              {2714119909818959821ull, 39855, 156725, 22487, 5840});
   CheckStatic(e, RcjAlgorithm::kObj,
-              {2714119909818959821ull, 39855, 60884, 26373, 10493});
+              {2714119909818959821ull, 39855, 60884, 22413, 5710});
 }
 
 TEST(KernelGoldenTest, Clustered) {
@@ -118,11 +121,11 @@ TEST(KernelGoldenTest, Clustered) {
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   RcjEnvironment* e = env.value().get();
   CheckStatic(e, RcjAlgorithm::kInj,
-              {3636884952568266090ull, 27988, 82335, 364915, 15372});
+              {3636884952568266090ull, 27988, 82335, 316447, 5829});
   CheckStatic(e, RcjAlgorithm::kBij,
-              {9147461777523161798ull, 27988, 157408, 29062, 19436});
+              {9147461777523161798ull, 27988, 157408, 22577, 7675});
   CheckStatic(e, RcjAlgorithm::kObj,
-              {9147461777523161798ull, 27988, 53704, 30772, 20553});
+              {9147461777523161798ull, 27988, 53704, 25891, 12362});
 }
 
 TEST(KernelGoldenTest, SelfJoin) {
@@ -131,11 +134,11 @@ TEST(KernelGoldenTest, SelfJoin) {
   ASSERT_TRUE(env.ok()) << env.status().ToString();
   RcjEnvironment* e = env.value().get();
   CheckStatic(e, RcjAlgorithm::kInj,
-              {6209463391602683609ull, 39751, 43919, 252626, 5107});
+              {6209463391602683609ull, 39751, 43919, 210502, 1669});
   CheckStatic(e, RcjAlgorithm::kBij,
-              {7264194873780177149ull, 39751, 77337, 22549, 3974});
+              {7264194873780177149ull, 39751, 77337, 16956, 1672});
   CheckStatic(e, RcjAlgorithm::kObj,
-              {7264194873780177149ull, 39751, 43058, 20212, 2479});
+              {7264194873780177149ull, 39751, 43058, 16871, 1667});
 }
 
 // Tombstones on both sides turn the verifier's face rule off and make the
@@ -160,11 +163,11 @@ TEST(KernelGoldenTest, LiveWithTombstones) {
   const LiveSnapshot snapshot = env.TakeSnapshot();
   ASSERT_NE(snapshot.overlay(), nullptr);
   CheckLive(snapshot, RcjAlgorithm::kInj,
-            {8742262651844623490ull, 34364, 147443, 392302, 22834});
+            {8742262651844623490ull, 34364, 147443, 356451, 12200});
   CheckLive(snapshot, RcjAlgorithm::kBij,
-            {2823711089264039018ull, 34364, 199536, 38397, 28259});
+            {2823711089264039018ull, 34364, 199536, 32430, 17795});
   CheckLive(snapshot, RcjAlgorithm::kObj,
-            {2823711089264039018ull, 34364, 124531, 36629, 25366});
+            {2823711089264039018ull, 34364, 124531, 32400, 17631});
 }
 
 }  // namespace

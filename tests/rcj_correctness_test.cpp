@@ -4,10 +4,12 @@
 // no false negatives, no false positives, no duplicates).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <tuple>
 
 #include "core/rcj.h"
+#include "engine/engine.h"
 #include "test_util.h"
 #include "workload/generator.h"
 
@@ -216,6 +218,131 @@ TEST(RcjCorrectnessTest, VerificationDisabledYieldsSuperset) {
   EXPECT_GE(unverified_ids.size(), verified_ids.size());
   for (const auto& id : verified_ids) {
     EXPECT_TRUE(unverified_ids.count(id) != 0);
+  }
+}
+
+// ---- degenerate corpora ------------------------------------------------------
+
+// Seeded degenerate inputs every indexed algorithm must join exactly like
+// BRUTE, pair for pair: integer grids whose coordinates P and Q share,
+// duplicate-heavy sets, cocircular rings, and grid points jittered by a
+// few ulps. Each runs as a two-set join and as a self-join, through the
+// serial runner and through a 4-thread Engine that splits the leaf order.
+enum class Degenerate { kSharedGrid, kDuplicates, kCocircular, kJitter };
+
+const char* DegenerateName(Degenerate kind) {
+  switch (kind) {
+    case Degenerate::kSharedGrid:
+      return "shared-grid";
+    case Degenerate::kDuplicates:
+      return "duplicates";
+    case Degenerate::kCocircular:
+      return "cocircular";
+    case Degenerate::kJitter:
+      return "jitter";
+  }
+  return "?";
+}
+
+std::vector<PointRecord> DegenerateSet(Degenerate kind, uint64_t seed,
+                                       size_t n) {
+  testing_util::SplitMix rng(seed);
+  // Integer points on x^2 + y^2 = 25 and x^2 + y^2 = 625 (12 and 20 of
+  // them) around two centers.
+  std::vector<Point> rings;
+  for (const int r2 : {25, 625}) {
+    for (int dx = -25; dx <= 25; ++dx) {
+      for (int dy = -25; dy <= 25; ++dy) {
+        if (dx * dx + dy * dy != r2) continue;
+        rings.push_back(Point{40.0 + dx, 40.0 + dy});
+        rings.push_back(Point{100.0 + dx, 60.0 + dy});
+      }
+    }
+  }
+  std::vector<PointRecord> out;
+  for (size_t i = 0; i < n; ++i) {
+    Point pt;
+    switch (kind) {
+      case Degenerate::kSharedGrid:
+        pt = Point{static_cast<double>(rng.Next() % 12),
+                   static_cast<double>(rng.Next() % 12)};
+        break;
+      case Degenerate::kDuplicates:
+        pt = Point{static_cast<double>(rng.Next() % 5) * 7.0,
+                   static_cast<double>(rng.Next() % 4) * 3.0};
+        break;
+      case Degenerate::kCocircular:
+        pt = rings[rng.Next() % rings.size()];
+        break;
+      case Degenerate::kJitter: {
+        const double ulps =
+            static_cast<double>(static_cast<int>(rng.Next() % 9) - 4);
+        const double eps = std::numeric_limits<double>::epsilon();
+        pt = Point{static_cast<double>(1 + rng.Next() % 10),
+                   static_cast<double>(1 + rng.Next() % 10)};
+        pt.x *= 1.0 + ulps * eps;
+        pt.y *= 1.0 - static_cast<double>(rng.Next() % 3) * eps;
+        break;
+      }
+    }
+    out.push_back(PointRecord{pt, static_cast<PointId>(i)});
+  }
+  return out;
+}
+
+void ExpectEveryAlgorithmMatchesBrute(RcjEnvironment* env,
+                                      const std::vector<RcjPair>& expected,
+                                      Engine* engine) {
+  for (const RcjAlgorithm algorithm :
+       {RcjAlgorithm::kInj, RcjAlgorithm::kBij, RcjAlgorithm::kObj}) {
+    QuerySpec spec = QuerySpec::For(env);
+    spec.algorithm = algorithm;
+    Result<RcjRunResult> serial = env->Run(spec);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ExpectSamePairs(serial.value().pairs, expected,
+                    (std::string("serial ") + AlgorithmName(algorithm)).c_str());
+    Result<RcjRunResult> parallel = engine->Run(spec);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectSamePairs(parallel.value().pairs, expected,
+                    (std::string("engine ") + AlgorithmName(algorithm)).c_str());
+  }
+}
+
+TEST(RcjDegenerateCorpusTest, IndexedAlgorithmsMatchBrute) {
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  Engine engine(engine_options);
+  RcjRunOptions options;
+  options.page_size = 256;  // many small leaves, so the engine splits
+  for (const Degenerate kind : {Degenerate::kSharedGrid,
+                                Degenerate::kDuplicates,
+                                Degenerate::kCocircular, Degenerate::kJitter}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::string(DegenerateName(kind)) + " seed " +
+                   std::to_string(seed));
+      const std::vector<PointRecord> qset =
+          DegenerateSet(kind, seed * 1009, 160);
+      const std::vector<PointRecord> pset =
+          DegenerateSet(kind, seed * 2003, 200);
+      {
+        Result<std::unique_ptr<RcjEnvironment>> env =
+            RcjEnvironment::Build(qset, pset, options);
+        ASSERT_TRUE(env.ok()) << env.status().ToString();
+        SCOPED_TRACE("two-set join");
+        ExpectEveryAlgorithmMatchesBrute(env.value().get(),
+                                         BruteForceRcj(pset, qset), &engine);
+        engine.InvalidateCachedViews(env.value().get());
+      }
+      {
+        Result<std::unique_ptr<RcjEnvironment>> env =
+            RcjEnvironment::BuildSelf(pset, options);
+        ASSERT_TRUE(env.ok()) << env.status().ToString();
+        SCOPED_TRACE("self-join");
+        ExpectEveryAlgorithmMatchesBrute(env.value().get(),
+                                         BruteForceRcjSelf(pset), &engine);
+        engine.InvalidateCachedViews(env.value().get());
+      }
+    }
   }
 }
 
